@@ -12,7 +12,7 @@ import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 from . import presets
 from .errors import InputError, ResourceError
@@ -55,14 +55,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -236,13 +239,13 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("hblock", help="recode onto overlapping N-blocks")
     _add_source(sub)
-    sub.add_argument("-n", dest="order", required=True, type=_positive_int,
+    sub.add_argument("-n", dest="order", required=True, type=_int_at_least(2),
                      metavar="N", help="block length")
     sub.set_defaults(func=_cmd_hblock)
 
     sub = commands.add_parser("blocks", help="all blocks up to a length, shortlex")
     _add_source(sub)
-    sub.add_argument("-n", dest="length", required=True, type=_positive_int,
+    sub.add_argument("-n", dest="length", required=True, type=_int_at_least(1),
                      metavar="L", help="maximum block length")
     sub.set_defaults(func=_cmd_blocks)
 
@@ -258,7 +261,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("subst", help="blocks of a primitive substitution shift")
     sub.add_argument("rules", metavar="RULES", help='rule list like "a:ab,b:a"')
-    sub.add_argument("--blocks", required=True, type=_positive_int,
+    sub.add_argument("--blocks", required=True, type=_int_at_least(1),
                      metavar="L", help="maximum block length")
     sub.set_defaults(func=_cmd_subst)
 

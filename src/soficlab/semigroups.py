@@ -12,6 +12,7 @@ relations give a second construction route for presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import AlphabetMismatch, CapExceeded, NotIdempotent, ParseError
@@ -209,23 +210,38 @@ def _closure(
     zero_value: T | None,
     cap: int,
 ) -> tuple[FiniteSemigroup, dict[str, int]]:
-    """Shortlex breadth-first closure of ``generators`` under ``compose``."""
+    """Shortlex breadth-first closure of ``generators`` under ``compose``.
+
+    The table is filled a row at a time (Froidure & Pin, *Algorithms for
+    computing finite semigroups*, 1997).  A generator's row comes from the
+    right Cayley graph ``rmul`` through each element's BFS parent and last
+    letter.  Any other element x with witness g.w' has x.b = g.(y.b), where
+    y, the suffix of x, is the element of w'; its witness is shorter, so
+    row(y) already exists and row(x) is row(g) read at row(y).
+    """
     index: dict[T, int] = {}
     values: list[T] = []
     witnesses: list[Word] = []
     gen_ids: dict[str, int] = {}
-    for sym, val in generators:
+    # parent[x]: the element x was reached from, -1 for a generator;
+    # last[x]: the position in ``generators`` of the last letter of x.
+    parent: list[int] = []
+    last: list[int] = []
+    for k, (sym, val) in enumerate(generators):
         if val not in index:
             index[val] = len(values)
             values.append(val)
             witnesses.append((sym,))
+            parent.append(-1)
+            last.append(k)
         gen_ids[sym] = index[val]
+    gen_count = len(values)
 
     rmul: list[list[int]] = []
     i = 0
     while i < len(values):
         row = []
-        for sym, gval in generators:
+        for k, (sym, gval) in enumerate(generators):
             product = compose(values[i], gval)
             j = index.get(product)
             if j is None:
@@ -235,24 +251,29 @@ def _closure(
                 index[product] = j
                 values.append(product)
                 witnesses.append(witnesses[i] + (sym,))
+                parent.append(i)
+                last.append(k)
             row.append(j)
         rmul.append(row)
         i += 1
 
-    positions = {sym: k for k, (sym, _) in enumerate(generators)}
-    witness_positions = [
-        [positions[sym] for sym in w] for w in witnesses
-    ]
     n = len(values)
-    table = []
-    for a in range(n):
-        row = []
+    table: list[tuple[int, ...]] = []
+    for g in range(gen_count):
+        grow = [0] * n
         for b in range(n):
-            x = a
-            for p in witness_positions[b]:
-                x = rmul[x][p]
-            row.append(x)
-        table.append(tuple(row))
+            p = parent[b]
+            grow[b] = rmul[g if p < 0 else grow[p]][last[b]]
+        table.append(tuple(grow))
+    letter = [gen_ids[sym] for sym, _ in generators]
+    suffix = [-1] * n
+    for x in range(gen_count, n):
+        p = parent[x]
+        y = letter[last[x]] if p < gen_count else rmul[suffix[p]][last[x]]
+        suffix[x] = y
+        # Exact-size tuple built in C.  A non-generator means n >= 2, so
+        # itemgetter gets at least two keys and returns a tuple, not a scalar.
+        table.append(itemgetter(*table[y])(table[gen_ids[witnesses[x][0]]]))
     zero = index.get(zero_value) if zero_value is not None else None
     return FiniteSemigroup(tuple(table), tuple(witnesses), gen_ids, zero), gen_ids
 
@@ -510,8 +531,7 @@ def render_cayley_table(semigroup: FiniteSemigroup) -> str:
     """Text form: an ``elements`` header line, then the product of row by column."""
     names = [semigroup.witness_name(i) for i in range(semigroup.size)]
     lines = ["elements " + " ".join(names)]
-    for i in range(semigroup.size):
-        lines.append(" ".join(names[semigroup.table[i][j]] for j in range(semigroup.size)))
+    lines += [" ".join(map(names.__getitem__, row)) for row in semigroup.table]
     return "\n".join(lines) + "\n"
 
 

@@ -669,9 +669,14 @@ def substitution_blocks(
             raise CapExceeded(f"substitution image grew past {cap} symbols")
         before = len(collected)
         for w in images.values():
+            # Check the slices before taking them: the collection gains at
+            # most one word per slice, and each slice is up to max_len long.
+            k = min(max_len, len(w))
+            if len(collected) + len(w) * k - k * (k - 1) // 2 > cap:
+                raise CapExceeded(
+                    f"factors up to length {max_len} could pass {cap} words"
+                )
             factors(w, collected)
-        if len(collected) > cap:
-            raise CapExceeded(f"more than {cap} factors collected")
         grown = len(collected) > before
         long_enough = all(len(w) >= 2 * max_len for w in images.values())
         if not grown and long_enough:

@@ -88,6 +88,39 @@ def test_subst_blocks():
     assert out == "a\nb\naa\nab\nba\naab\naba\nbaa\nbab\n"
 
 
+def test_subst_cap_bounds_the_factor_work():
+    # Images grow fiftyfold a round, so the refusal comes before slicing
+    # the 2452-symbol image into factors up to length 100000.
+    rules = "a:" + "a" * 49 + "b,b:ab"
+    code, out, err = run("subst", rules, "--blocks", "100000")
+    assert (code, out) == (3, "")
+    assert "1000000" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    ok = subprocess.run(
+        [sys.executable, "-m", "soficlab", "member", "--builtin", "even", "abba"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "true\n", "")
+    bad = subprocess.run(
+        [sys.executable, "-m", "soficlab", "hblock", "--builtin", "golden", "-n", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("usage error:")
+
+
 def test_subst_rejects_non_primitive():
     code, out, err = run("subst", "a:b,b:a", "--blocks", "2")
     assert code == 2
@@ -140,6 +173,7 @@ def test_dyck_graph_file(tmp_path):
         ["compare", "--builtin", "even"],              # only one shift
         ["expand", "--builtin", "even"],               # -l required
         ["member", "--builtin", "even"],               # word required
+        ["hblock", "--builtin", "golden", "-n", "1"],  # order below 2
     ],
 )
 def test_usage_errors_exit_one(argv):

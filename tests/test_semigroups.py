@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import soficlab as sl
 from soficlab.errors import CapExceeded, NotIdempotent, ParseError
+from soficlab.shift import Alphabet
 
 from oracles import generator_map_isomorphic
 
@@ -250,3 +251,104 @@ def test_relation_closure_is_associative_and_zero_absorbs(gens):
             s.mul(i, s.zero) == s.zero and s.mul(s.zero, i) == s.zero
             for i in range(n)
         )
+
+
+# The table fill composes rows of the table it is building; these tests
+# check each product against the generator maps themselves instead.
+
+
+def assert_table_matches(semigroup, value_of):
+    """Check every table[a][b] against the value of witness(a) + witness(b).
+
+    ``value_of`` maps a word to its value through the generator maps
+    alone; elements are told apart by the values of their witnesses.
+    """
+    element_of = {value_of(w): i for i, w in enumerate(semigroup.witnesses)}
+    assert len(element_of) == semigroup.size
+    for a, wa in enumerate(semigroup.witnesses):
+        for b, wb in enumerate(semigroup.witnesses):
+            assert semigroup.table[a][b] == element_of[value_of(wa + wb)]
+
+
+def naive_render(semigroup):
+    names = [sl.render_word(w) for w in semigroup.witnesses]
+    text = "elements"
+    for name in names:
+        text += " " + name
+    text += "\n"
+    for a in range(semigroup.size):
+        cells = []
+        for b in range(semigroup.size):
+            cells.append(names[semigroup.table[a][b]])
+        text += " ".join(cells) + "\n"
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.sampled_from([0.2, 0.3, 0.5]),
+)
+def test_transition_table_matches_state_maps(seed, n_vertices, density):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), density)
+    dfa = sl.determinize_minimal(p)
+    s, _ = sl.transition_semigroup(dfa)
+    column = {a: k for k, a in enumerate(dfa.alphabet.symbols)}
+
+    def state_map(word):
+        states = list(range(dfa.size))
+        for a in word:
+            states = [dfa.transitions[q][column[a]] for q in states]
+        return tuple(states)
+
+    assert_table_matches(s, state_map)
+    assert naive_render(s) == sl.render_cayley_table(s)
+
+
+relations = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    relations,
+    relations,
+    relations,
+    st.sampled_from([None, ("b", "a"), ("c", "a"), ("c", "b")]),
+)
+def test_relation_table_matches_composed_relations(ra, rb, rc, same):
+    gens = {"a": ra, "b": rb, "c": rc}
+    if same is not None:  # two letters with one relation
+        gens[same[0]] = gens[same[1]]
+    s, _ = sl.relation_semigroup(gens)
+
+    def relation(word):
+        rel = set(gens[word[0]])
+        for letter in word[1:]:
+            rel = {(x, z) for x, y in rel for y2, z in gens[letter] if y == y2}
+        return frozenset(rel)
+
+    assert_table_matches(s, relation)
+    assert naive_render(s) == sl.render_cayley_table(s)
+
+
+def test_one_element_semigroup(full2):
+    s, m = sl.syntactic_semigroup(full2)
+    assert s.table == ((0,),)
+    assert s.witnesses == (("a",),)
+    assert s.generators == {"a": 0, "b": 0}
+    assert m.image(("b", "a", "b")) == 0
+    text = sl.render_cayley_table(s)
+    assert text == naive_render(s) == "elements a\na\n"
+    assert sl.parse_cayley_table(text).table == s.table
+
+
+def test_cayley_render_and_round_trip_at_scale():
+    p = sl.random_presentation(53, 4, Alphabet(("a", "b")), 0.25)
+    s, _ = sl.syntactic_semigroup(p)
+    assert s.size >= 200
+    text = sl.render_cayley_table(s)
+    assert text == naive_render(s)
+    back = sl.parse_cayley_table(text)
+    assert back.table == s.table
+    assert back.zero == s.zero

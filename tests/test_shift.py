@@ -322,6 +322,12 @@ class TestSubstitutions:
             "a", "b", "aa", "ab", "ba", "aab", "aba", "baa", "bab",
         }
 
+    def test_blocks_cap_is_checked_before_slicing(self, fibonacci):
+        # Slicing the 144-symbol image into factors up to length 10**5
+        # would take 10440 slices, past the cap of 10**4.
+        with pytest.raises(CapExceeded, match="10000"):
+            sl.substitution_blocks(fibonacci, 10**5, cap=10**4)
+
     def test_blocks_require_primitive(self):
         with pytest.raises(NotPrimitive):
             sl.substitution_blocks(sl.parse_substitution("a:b,b:a"), 2)
