@@ -213,11 +213,10 @@ def _closure(
     """Shortlex breadth-first closure of ``generators`` under ``compose``.
 
     The table is filled a row at a time (Froidure & Pin, *Algorithms for
-    computing finite semigroups*, 1997).  A generator's row comes from the
-    right Cayley graph ``rmul`` through each element's BFS parent and last
-    letter.  Any other element x with witness g.w' has x.b = g.(y.b), where
-    y, the suffix of x, is the element of w'; its witness is shorter, so
-    row(y) already exists and row(x) is row(g) read at row(y).
+    computing finite semigroups*, 1997).  The closure reaches every element
+    x as x = p.s, p its BFS parent and s a generator.  A generator's row
+    comes from the right Cayley graph ``rmul`` through those pairs; any
+    other row is x.b = p.(s.b), row(p) read at row(s), and p < x.
     """
     index: dict[T, int] = {}
     values: list[T] = []
@@ -265,15 +264,11 @@ def _closure(
             p = parent[b]
             grow[b] = rmul[g if p < 0 else grow[p]][last[b]]
         table.append(tuple(grow))
-    letter = [gen_ids[sym] for sym, _ in generators]
-    suffix = [-1] * n
+    # Exact-size tuples built in C.  A non-generator means n >= 2, so each
+    # getter has at least two keys and returns a tuple, not a scalar.
+    read_at = [itemgetter(*table[gen_ids[sym]]) for sym, _ in generators]
     for x in range(gen_count, n):
-        p = parent[x]
-        y = letter[last[x]] if p < gen_count else rmul[suffix[p]][last[x]]
-        suffix[x] = y
-        # Exact-size tuple built in C.  A non-generator means n >= 2, so
-        # itemgetter gets at least two keys and returns a tuple, not a scalar.
-        table.append(itemgetter(*table[y])(table[gen_ids[witnesses[x][0]]]))
+        table.append(read_at[last[x]](table[parent[x]]))
     zero = index.get(zero_value) if zero_value is not None else None
     return FiniteSemigroup(tuple(table), tuple(witnesses), gen_ids, zero), gen_ids
 

@@ -641,6 +641,46 @@ def is_primitive(substitution: Substitution) -> bool:
     return False
 
 
+def _factor_count(word: Word, max_len: int) -> int:
+    """Number of distinct factors of ``word`` of length 1..max_len.
+
+    Counted on the suffix automaton of ``word``, in O(len(word)) states,
+    without taking a slice: state v stands for the factors whose lengths
+    run from ``length[link[v]] + 1`` to ``length[v]``.
+    """
+    length = [0]
+    link = [-1]
+    edges: list[dict[str, int]] = [{}]
+    tail = 0
+    for c in word:
+        cur = len(length)
+        length.append(length[tail] + 1)
+        link.append(0)
+        edges.append({})
+        p = tail
+        while p != -1 and c not in edges[p]:
+            edges[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = edges[p][c]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                edges.append(dict(edges[q]))
+                while p != -1 and edges[p].get(c) == q:
+                    edges[p][c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        tail = cur
+    return sum(
+        max(0, min(length[v], max_len) - length[link[v]])
+        for v in range(1, len(length))
+    )
+
+
 def substitution_blocks(
     substitution: Substitution, max_len: int, *, cap: int = DEFAULT_WORD_CAP
 ) -> set[Word]:
@@ -649,33 +689,46 @@ def substitution_blocks(
     Requires a primitive substitution (NotPrimitive otherwise).  Iteration
     stops once the collected set sits still for one extra round and every
     image is at least twice ``max_len`` long, after which no new short
-    factor can appear.
+    factor can appear.  CapExceeded when an image grows past ``cap``
+    symbols or the collected set past ``cap`` words.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if not is_primitive(substitution):
         raise NotPrimitive("substitution is not primitive")
 
+    def grow(images: dict[str, Word]) -> dict[str, Word]:
+        images = {a: substitution.apply(w) for a, w in images.items()}
+        if any(len(w) > cap for w in images.values()):
+            raise CapExceeded(f"substitution image grew past {cap} symbols")
+        return images
+
+    # The loop below cannot stop before every image is 2 * max_len long,
+    # and the answer holds every factor of every image up to then.  Count
+    # those factors first, so that an answer past the cap is refused
+    # before any of them is sliced out and stored.
+    images: dict[str, Word] = {a: (a,) for a in substitution.alphabet}
+    while not all(len(w) >= 2 * max_len for w in images.values()):
+        images = grow(images)
+        for w in images.values():
+            if _factor_count(w, max_len) > cap:
+                raise CapExceeded(
+                    f"an image has more than {cap} factors up to length {max_len}"
+                )
+
     def factors(word: Word, sink: set[Word]) -> None:
         for i in range(len(word)):
             for j in range(i + 1, min(i + max_len, len(word)) + 1):
                 sink.add(word[i:j])
+            if len(sink) > cap:
+                raise CapExceeded(f"more than {cap} factors collected")
 
     collected: set[Word] = set()
-    images: dict[str, Word] = {a: (a,) for a in substitution.alphabet}
+    images = {a: (a,) for a in substitution.alphabet}
     while True:
-        images = {a: substitution.apply(w) for a, w in images.items()}
-        if any(len(w) > cap for w in images.values()):
-            raise CapExceeded(f"substitution image grew past {cap} symbols")
+        images = grow(images)
         before = len(collected)
         for w in images.values():
-            # Check the slices before taking them: the collection gains at
-            # most one word per slice, and each slice is up to max_len long.
-            k = min(max_len, len(w))
-            if len(collected) + len(w) * k - k * (k - 1) // 2 > cap:
-                raise CapExceeded(
-                    f"factors up to length {max_len} could pass {cap} words"
-                )
             factors(w, collected)
         grown = len(collected) > before
         long_enough = all(len(w) >= 2 * max_len for w in images.values())

@@ -89,12 +89,11 @@ def test_subst_blocks():
 
 
 def test_subst_cap_bounds_the_factor_work():
-    # Images grow fiftyfold a round, so the refusal comes before slicing
-    # the 2452-symbol image into factors up to length 100000.
-    rules = "a:" + "a" * 49 + "b,b:ab"
-    code, out, err = run("subst", rules, "--blocks", "100000")
+    # The answer would hold every factor of the 2584-symbol image, more
+    # than the word cap; that is counted before any factor is sliced out.
+    code, out, err = run("subst", "a:ab,b:a", "--blocks", "100000")
     assert (code, out) == (3, "")
-    assert "1000000" in err
+    assert err == "error: an image has more than 1000000 factors up to length 100000\n"
 
 
 def test_python_dash_m_runs_the_cli():

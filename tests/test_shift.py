@@ -16,6 +16,7 @@ from soficlab.errors import (
     UnknownEdge,
     UnknownSymbol,
 )
+from soficlab.shift import _factor_count
 
 from oracles import avoiding_words, primitive_by_iteration, walk_blocks
 
@@ -323,10 +324,38 @@ class TestSubstitutions:
         }
 
     def test_blocks_cap_is_checked_before_slicing(self, fibonacci):
-        # Slicing the 144-symbol image into factors up to length 10**5
-        # would take 10440 slices, past the cap of 10**4.
-        with pytest.raises(CapExceeded, match="10000"):
+        # The 233-symbol image alone has more than 10**4 distinct factors;
+        # only the count taken before any slice gives this message.
+        with pytest.raises(
+            CapExceeded, match="an image has more than 10000 factors up to length 100000"
+        ):
             sl.substitution_blocks(fibonacci, 10**5, cap=10**4)
+
+    def test_blocks_cap_admits_answers_under_it(self, fibonacci):
+        # Sturmian: l + 1 blocks of each length l, 5150 in all, though the
+        # images sliced on the way take far more than 10**4 slices.
+        got = sl.substitution_blocks(fibonacci, 100, cap=10**4)
+        assert len(got) == sum(l + 1 for l in range(1, 101))
+        assert all(len(w) <= 100 for w in got)
+
+    def test_blocks_cap_bounds_the_collected_set(self):
+        # Thue-Morse has 70 blocks up to length 7; no single image reached
+        # before every image is 14 long has more than 69 of them.
+        thue_morse = sl.parse_substitution("a:ab,b:ba")
+        assert len(sl.substitution_blocks(thue_morse, 7, cap=70)) == 70
+        with pytest.raises(CapExceeded, match="more than 69 factors collected"):
+            sl.substitution_blocks(thue_morse, 7, cap=69)
+
+    @settings(deadline=None)
+    @given(st.text("abc", max_size=40), st.integers(1, 45))
+    def test_factor_count_matches_slicing(self, text, max_len):
+        word = tuple(text)
+        sliced = {
+            word[i:j]
+            for i in range(len(word))
+            for j in range(i + 1, min(i + max_len, len(word)) + 1)
+        }
+        assert _factor_count(word, max_len) == len(sliced)
 
     def test_blocks_require_primitive(self):
         with pytest.raises(NotPrimitive):
