@@ -17,7 +17,7 @@ from typing import IO, Callable, Optional, Sequence
 from . import presets
 from .errors import InputError, ResourceError
 from .flowlab import flow_compare, invariant_report, markov_dyck_flow_compare
-from .karoubi import dump_category, karoubi_envelope, skeleton
+from .karoubi import dump_category, envelope_skeleton
 from .semigroups import (
     is_plus_free,
     render_cayley_table,
@@ -128,7 +128,7 @@ def _cmd_syntactic(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_karoubi(args: argparse.Namespace, out: IO[str]) -> int:
     semigroup, _ = syntactic_semigroup(_one_presentation(args))
-    out.write(dump_category(skeleton(karoubi_envelope(semigroup))))
+    out.write(dump_category(envelope_skeleton(semigroup)))
     return 0
 
 

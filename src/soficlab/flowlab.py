@@ -3,9 +3,11 @@
 The workhorse is the envelope skeleton of the syntactic semigroup: it is
 unchanged by symbol expansion and by conjugacy-style recodings, so a
 skeleton mismatch certifies that two shifts are not flow equivalent,
-while a match only means the invariant cannot separate them.  For bracket
-shifts of graphs satisfying the degree hypothesis the comparison is
-complete and reduces to multigraph isomorphism.
+while a match only means the invariant cannot separate them.  Every
+verdict and report reads the skeleton from ``envelope_skeleton``, which
+builds it from the regular J-classes without building the envelope.  For
+bracket shifts of graphs satisfying the degree hypothesis the comparison
+is complete and reduces to multigraph isomorphism.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from .errors import InputError
 from .karoubi import (
     FiniteCategory,
     categories_isomorphic,
+    envelope_skeleton,
     hom_size_matrix,
-    karoubi_envelope,
-    skeleton,
     DEFAULT_SEARCH_BUDGET,
 )
 from .semigroups import (
@@ -78,12 +79,12 @@ class InvariantReport:
 
 def _skeleton_of(presentation: Presentation) -> FiniteCategory:
     semigroup, _ = syntactic_semigroup(presentation)
-    return skeleton(karoubi_envelope(semigroup))
+    return envelope_skeleton(semigroup)
 
 
 def invariant_report(presentation: Presentation) -> InvariantReport:
     semigroup, _ = syntactic_semigroup(presentation)
-    envelope_skeleton = skeleton(karoubi_envelope(semigroup))
+    sk = envelope_skeleton(semigroup)
     green = green_j(semigroup)
     return InvariantReport(
         order=semigroup.size,
@@ -91,8 +92,8 @@ def invariant_report(presentation: Presentation) -> InvariantReport:
         aperiodic=is_aperiodic(semigroup),
         j_classes=len(green.classes),
         regular_j_classes=sum(green.regular),
-        skeleton_objects=len(envelope_skeleton.objects),
-        skeleton_hom_matrix=hom_size_matrix(envelope_skeleton),
+        skeleton_objects=len(sk.objects),
+        skeleton_hom_matrix=hom_size_matrix(sk),
         irreducible=is_irreducible(presentation),
     )
 

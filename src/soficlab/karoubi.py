@@ -7,6 +7,13 @@ and (e, e, e) is the identity at e.  Equivalence of such categories is
 decided structurally: collapse each category to a skeleton (one object
 per isomorphism class), then search for an isomorphism of the skeletons
 by backtracking over arrows with color-refinement pruning.
+
+Two idempotents are isomorphic in the envelope exactly when they are
+D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
+builds the skeleton directly: one object per regular J-class, its least
+idempotent, and the hom-set e S f between each pair.  It never builds
+the whole envelope.  ``karoubi_envelope``, ``objects_isomorphic`` and
+``skeleton`` take the general route and serve as its oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import CapExceeded, SearchTimeout, UnknownObject
-from .semigroups import FiniteSemigroup, idempotents
+from .semigroups import FiniteSemigroup, green_j, idempotents
 
 Arrow = tuple[int, int, int]
 
@@ -85,6 +92,39 @@ def karoubi_envelope(
                         raise CapExceeded(f"envelope grew past {cap} arrows")
     return FiniteCategory(
         objects, tuple(arrows), semigroup.mul, semigroup.witness_name
+    )
+
+
+def envelope_skeleton(
+    semigroup: FiniteSemigroup, *, cap: int = DEFAULT_ARROW_CAP
+) -> FiniteCategory:
+    """Skeleton of the envelope of ``semigroup``, built from its J-classes.
+
+    Objects are the least idempotent of each regular J-class, in
+    ascending order; the arrows from e to f are e S f in ascending order.
+    These are the objects and arrows of
+    ``skeleton(karoubi_envelope(semigroup))``.  Every hom-set holds at
+    least e e f, so checking the cap per hom-set bounds the work by
+    cap * |S|.
+    """
+    green = green_j(semigroup)
+    idempotent = semigroup.is_idempotent
+    objects = sorted(
+        min(filter(idempotent, cls))
+        for cls, regular in zip(green.classes, green.regular)
+        if regular
+    )
+    table = semigroup.table
+    arrows: list[Arrow] = []
+    for e in objects:
+        row_e = table[e]
+        for f in objects:
+            hom = sorted({row_e[row[f]] for row in table})
+            arrows.extend((e, s, f) for s in hom)
+            if len(arrows) > cap:
+                raise CapExceeded(f"envelope skeleton grew past {cap} arrows")
+    return FiniteCategory(
+        tuple(objects), tuple(arrows), semigroup.mul, semigroup.witness_name
     )
 
 

@@ -149,6 +149,29 @@ def test_file_based_workflow(tmp_path, even):
     )
 
 
+def test_inspect_past_the_old_envelope_cap(tmp_path):
+    # |S| = 1572: the whole envelope passed its arrow cap, the skeleton
+    # has 3 objects
+    p = sl.random_presentation(69, 6, sl.Alphabet(("a", "b")), 0.25)
+    path = tmp_path / "big.shift"
+    path.write_text(sl.render_presentation(p), encoding="utf-8")
+    code, out, err = run("inspect", str(path))
+    assert (code, err) == (0, "")
+    assert "order: 1572\n" in out
+    assert "skeleton_objects: 3\n" in out
+
+
+def test_compare_past_the_old_envelope_cap(tmp_path):
+    # |S| = 605 against its a-expansion, |S| = 1605
+    p = sl.random_presentation(224, 6, sl.Alphabet(("a", "b")), 0.25)
+    left, right = tmp_path / "left.shift", tmp_path / "right.shift"
+    left.write_text(sl.render_presentation(p), encoding="utf-8")
+    right.write_text(
+        sl.render_presentation(sl.symbol_expansion(p, "a")), encoding="utf-8"
+    )
+    assert run("compare", str(left), str(right)) == (0, "NOT_DISTINGUISHED\n", "")
+
+
 def test_dyck_graph_file(tmp_path):
     path = tmp_path / "two.dyck"
     path.write_text(

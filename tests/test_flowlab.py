@@ -78,6 +78,12 @@ def test_expansion_invariance_on_composed_chain(golden):
     assert sl.expansion_invariance_check(golden, chain)
 
 
+def test_expansion_invariance_past_the_old_envelope_cap():
+    # |S| = 529; under SymbolExpand b the whole envelope passed its cap
+    p = sl.random_presentation(756430004, 4, sl.Alphabet(("a", "b")), 0.3)
+    assert sl.expansion_invariance_check(p, [sl.SymbolExpand("b")])
+
+
 def test_expansion_invariance_rejects_unknown_symbol(golden):
     with pytest.raises(UnknownSymbol):
         sl.expansion_invariance_check(golden, [sl.SymbolExpand("z")])

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soficlab as sl
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
+from soficlab.shift import Alphabet
 
 
 @pytest.fixture
@@ -90,6 +93,91 @@ def test_envelope_cap(golden):
     s, _ = sl.syntactic_semigroup(golden)
     with pytest.raises(CapExceeded):
         sl.karoubi_envelope(s, cap=3)
+
+
+def test_envelope_skeleton_golden(golden):
+    s, _ = sl.syntactic_semigroup(golden)
+    sk = sl.envelope_skeleton(s)
+    assert [s.witness_name(o) for o in sk.objects] == ["a", "bb"]
+    assert sl.hom_size_matrix(sk) == [[2, 1], [1, 1]]
+    assert len(sk.arrows) == 5
+
+
+def test_envelope_skeleton_cap(golden):
+    s, _ = sl.syntactic_semigroup(golden)
+    assert len(sl.envelope_skeleton(s, cap=5).arrows) == 5
+    with pytest.raises(CapExceeded, match="envelope skeleton grew past 4 arrows"):
+        sl.envelope_skeleton(s, cap=4)
+
+
+class _CountingTable(tuple):
+    """Cayley table that counts the scans over its rows."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_envelope_skeleton_cap_stops_the_scans(golden):
+    # golden's first hom-set has 2 arrows, so a cap of 1 is passed after
+    # one scan of the table, not after all four
+    s, _ = sl.syntactic_semigroup(golden)
+    counted = sl.FiniteSemigroup(
+        _CountingTable(s.table), s.witnesses, s.generators, s.zero
+    )
+    with pytest.raises(CapExceeded):
+        sl.envelope_skeleton(counted, cap=1)
+    assert counted.table.scans == 1
+
+
+def assert_skeleton_matches_oracle(semigroup):
+    direct = sl.envelope_skeleton(semigroup)
+    oracle = sl.skeleton(sl.karoubi_envelope(semigroup))
+    assert direct.objects == oracle.objects
+    assert direct.arrows == oracle.arrows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.sampled_from([0.2, 0.3, 0.5]),
+)
+def test_envelope_skeleton_matches_oracle_on_transition_semigroups(
+    seed, n_vertices, density
+):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), density)
+    s, _ = sl.transition_semigroup(sl.determinize_minimal(p))
+    assert_skeleton_matches_oracle(s)
+
+
+relations = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relations, relations, relations)
+def test_envelope_skeleton_matches_oracle_on_relation_semigroups(ra, rb, rc):
+    s, _ = sl.relation_semigroup({"a": ra, "b": rb, "c": rc})
+    assert_skeleton_matches_oracle(s)
+
+
+def test_envelope_skeleton_matches_oracle_without_zero(full2):
+    s, _ = sl.syntactic_semigroup(full2)
+    assert s.size == 1 and s.zero is None
+    assert_skeleton_matches_oracle(s)
+    assert sl.envelope_skeleton(s).arrows == ((0, 0, 0),)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5))
+def test_envelope_skeleton_matches_oracle_on_parsed_tables(seed, n_vertices):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), 0.3)
+    s, _ = sl.syntactic_semigroup(p)
+    parsed = sl.parse_cayley_table(sl.render_cayley_table(s))
+    assert_skeleton_matches_oracle(parsed)
+    assert sl.envelope_skeleton(parsed).arrows == sl.envelope_skeleton(s).arrows
 
 
 def test_object_isomorphism_is_reflexive_and_symmetric(even_env):
