@@ -27,6 +27,7 @@ from .karoubi import (
     DEFAULT_SEARCH_BUDGET,
 )
 from .semigroups import (
+    FiniteSemigroup,
     green_j,
     idempotents,
     is_aperiodic,
@@ -78,7 +79,21 @@ class InvariantReport:
 
 
 def _skeleton_of(presentation: Presentation) -> FiniteCategory:
+    """Envelope skeleton of the syntactic semigroup with a zero, S⁰.
+
+    Words that are not blocks map to a zero, so only a full shift's S
+    lacks one, and S is then trivial (its minimal automaton has one
+    state).  Adjoining a zero there keeps the skeleton invariant under
+    moves such as symbol expansion, which make a full shift not full.
+    The zero is reached from no generator, so ``green_j`` would leave it
+    out of the J-order of a larger S.  Reports and dumps show S.
+    """
     semigroup, _ = syntactic_semigroup(presentation)
+    if semigroup.zero is None:
+        assert semigroup.size == 1, "only a full shift's S lacks a zero"
+        semigroup = FiniteSemigroup(
+            ((0, 1), (1, 1)), semigroup.witnesses + (("0",),), semigroup.generators, 1
+        )
     return envelope_skeleton(semigroup)
 
 
@@ -309,11 +324,10 @@ def random_proper_presentations(
 
     Seeds run upward from ``start_seed`` and the vertex count cycles through
     2, 3, 4.  A candidate is kept only when every alphabet letter labels some
-    edge and the presented shift is not the full shift.  Both exclusions
-    matter: an unused letter acts as a spurious zero in the syntactic
-    semigroup, and the full shift's trivial semigroup has no zero at all, so
-    in either case the envelope skeleton is not preserved by recodings that
-    change which situation holds.
+    edge and the presented shift is not the full shift.  The verdicts no
+    longer need this, as the skeletons they compare adjoin a zero where the
+    semigroup has none; the filter stays because it defines the corpus that
+    the expansion invariance suite was pinned on.
     """
     if count < 0:
         raise InputError("count must be nonnegative")

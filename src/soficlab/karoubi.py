@@ -5,8 +5,15 @@ triples (e, s, f) with e s f = s as arrows from e to f; composition
 multiplies payloads in diagram order, (e, s, f)(f, t, g) = (e, s t, g),
 and (e, e, e) is the identity at e.  Equivalence of such categories is
 decided structurally: collapse each category to a skeleton (one object
-per isomorphism class), then search for an isomorphism of the skeletons
-by backtracking over arrows with color-refinement pruning.
+per isomorphism class), then search for an isomorphism of the skeletons.
+
+The search stores only the pairs of arrows that compose: for each arrow
+x, the index of x y for every arrow y leaving the target of x.  Arrows of
+both categories are colored jointly by refining on those composites,
+then assigned by backtracking, so that two arrows compose exactly when
+their images do.  Objects need no map of their own: an arrow's ends are
+the identities it composes with, so assigning an arrow assigns those
+identities, and a candidate must fit the ones already assigned.
 
 Two idempotents are isomorphic in the envelope exactly when they are
 D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
@@ -165,67 +172,66 @@ def hom_size_matrix(category: FiniteCategory) -> list[list[int]]:
     ]
 
 
-def _refine_colors(
-    cats: tuple["_SearchSide", "_SearchSide"]
-) -> tuple[list[int], list[int]]:
-    """Joint color refinement of both arrow sets by composition profiles."""
-    colors = []
+def _composition(category: FiniteCategory) -> tuple[list, ...]:
+    """Per arrow: its source and target identities, its place among the
+    arrows leaving its source, its composites with those leaving its
+    target, and, for an identity, the arrows entering it.  ``after[x]``
+    lists the arrows leaving an identity x, and i·j is
+    ``after[i][pos[j]]`` when ``dst[i] == src[j]``.
+    """
+    arrows = category.arrows
+    index = {a: i for i, a in enumerate(arrows)}
+    src = [index[e, e, e] for e, _, _ in arrows]
+    dst = [index[f, f, f] for _, _, f in arrows]
+    leaving: list[list[int]] = [[] for _ in arrows]
+    into: list[list[int]] = [[] for _ in arrows]
+    pos = []
+    for j, (x, y) in enumerate(zip(src, dst)):
+        pos.append(len(leaving[x]))
+        leaving[x].append(j)
+        into[y].append(j)
+    mul = category.mul
+    after = [
+        [index[e, mul(s, arrows[j][1]), arrows[j][2]] for j in leaving[y]]
+        for (e, s, _), y in zip(arrows, dst)
+    ]
+    return src, dst, pos, after, into
+
+
+def _refine_colors(comps: tuple) -> list[list[int]]:
+    """Joint color refinement of both arrow sets by composition profiles.
+
+    An arrow starts colored by (identity, endomorphism); each round adds
+    the sorted colors of (j, i·j) over the j leaving its target and of
+    (j, j·i) over the j entering its source.  A key holds the old color,
+    so the partition only splits, and it is stable once the joint
+    palette stops growing.
+    """
     palette: dict[tuple, int] = {}
-    for side in cats:
-        cs = []
-        for i in range(side.n):
-            key = (side.is_id[i], side.src[i] == side.dst[i])
-            cs.append(palette.setdefault(key, len(palette)))
-        colors.append(cs)
+    colors = []
+    for src, dst, *_ in comps:
+        keys = ((i == x, x == y) for i, (x, y) in enumerate(zip(src, dst)))
+        colors.append([palette.setdefault(key, len(palette)) for key in keys])
+
+    def profile(cs: list[int], pairs) -> tuple:
+        return tuple(sorted((cs[j], cs[k]) for j, k in pairs))
 
     while True:
-        palette = {}
-        new_colors = []
-        for side, cs in zip(cats, colors):
-            ids_by_obj = {side.src[i]: cs[i] for i in range(side.n) if side.is_id[i]}
-            ns = []
-            for i in range(side.n):
-                left = sorted(
-                    (cs[j], cs[side.comp[i][j]])
-                    for j in range(side.n)
-                    if side.comp[i][j] >= 0
-                )
-                right = sorted(
-                    (cs[j], cs[side.comp[j][i]])
-                    for j in range(side.n)
-                    if side.comp[j][i] >= 0
-                )
-                key = (
+        size, palette = len(palette), {}
+        new = []
+        for (src, dst, pos, after, into), cs in zip(comps, colors):
+            keys = (
+                (
                     cs[i],
-                    ids_by_obj.get(side.src[i], -1),
-                    ids_by_obj.get(side.dst[i], -1),
-                    tuple(left),
-                    tuple(right),
+                    profile(cs, zip(after[y], after[i])),
+                    profile(cs, ((j, after[j][pos[i]]) for j in into[x])),
                 )
-                ns.append(palette.setdefault(key, len(palette)))
-            new_colors.append(ns)
-        if sorted(new_colors[0]) == sorted(colors[0]) and sorted(
-            new_colors[1]
-        ) == sorted(colors[1]):
-            return new_colors[0], new_colors[1]
-        colors = new_colors
-
-
-class _SearchSide:
-    """Flat arrays for one category in the isomorphism search."""
-
-    def __init__(self, category: FiniteCategory):
-        arrows = category.arrows
-        self.n = len(arrows)
-        index = {a: i for i, a in enumerate(arrows)}
-        self.src = [a[0] for a in arrows]
-        self.dst = [a[2] for a in arrows]
-        self.is_id = [a == (a[0], a[0], a[0]) for a in arrows]
-        self.comp = [[-1] * self.n for _ in range(self.n)]
-        for i, x in enumerate(arrows):
-            for j, y in enumerate(arrows):
-                if x[2] == y[0]:
-                    self.comp[i][j] = index[category.compose(x, y)]
+                for i, (x, y) in enumerate(zip(src, dst))
+            )
+            new.append([palette.setdefault(key, len(palette)) for key in keys])
+        colors = new
+        if len(palette) == size:
+            return colors
 
 
 def categories_isomorphic(
@@ -236,49 +242,34 @@ def categories_isomorphic(
 ) -> bool:
     """Whether an invertible composition-preserving arrow bijection exists.
 
-    Backtracking assigns arrows most-constrained-first; every assignment
-    immediately forces the images of all compositions with previously
-    assigned arrows, so contradictions surface early.  Raises
+    Backtracking assigns arrows most-constrained-first, each to an arrow
+    of its refined color whose ends fit the identities assigned so far.
+    Identity is part of the color, and objects follow from identities:
+    the one identity x with x·i defined is the identity at the source of
+    i, so σx is the identity at the source of σi.  An assignment forces
+    the identities at its ends, and for each assigned arrow it composes
+    with, the image of the composite, which must exist.  Raises
     SearchTimeout when more than ``budget`` assignments are attempted.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
-    if not c.arrows:
-        return True
-    a = _SearchSide(c)
-    b = _SearchSide(d)
-    color_a, color_b = _refine_colors((a, b))
+    comp_a, comp_b = _composition(c), _composition(d)
+    src_a, dst_a, pos_a, after_a, into_a = comp_a
+    src_b, dst_b, pos_b, after_b, _ = comp_b
+    color_a, color_b = _refine_colors((comp_a, comp_b))
     if sorted(color_a) != sorted(color_b):
         return False
 
     candidates: dict[int, list[int]] = {}
     for j, col in enumerate(color_b):
         candidates.setdefault(col, []).append(j)
-    if any(
-        len(candidates.get(col, ())) != count
-        for col, count in _histogram(color_a).items()
-    ):
-        return False
 
-    sigma = [-1] * a.n
-    used = [False] * b.n
-    obj_map: dict[int, int] = {}
-    obj_used: set[int] = set()
-    assigned: list[int] = []
+    n = len(color_a)
+    sigma = [-1] * n
+    used = [False] * n
     nodes = 0
 
-    def bind_object(e: int, e2: int, trail: list) -> bool:
-        known = obj_map.get(e)
-        if known is not None:
-            return known == e2
-        if e2 in obj_used:
-            return False
-        obj_map[e] = e2
-        obj_used.add(e2)
-        trail.append(e)
-        return True
-
-    def assign(i: int, u: int, trail: list, objs: list) -> bool:
+    def assign(i: int, u: int, trail: list) -> bool:
         queue = [(i, u)]
         while queue:
             i, u = queue.pop()
@@ -288,78 +279,60 @@ def categories_isomorphic(
                 continue
             if used[u] or color_a[i] != color_b[u]:
                 return False
-            if not bind_object(a.src[i], b.src[u], objs):
-                return False
-            if not bind_object(a.dst[i], b.dst[u], objs):
-                return False
             sigma[i] = u
             used[u] = True
             trail.append(i)
-            assigned.append(i)
-            for j in list(assigned):
-                for x, y in ((i, j), (j, i)):
-                    k = a.comp[x][y]
-                    if k < 0:
-                        continue
-                    v = b.comp[sigma[x]][sigma[y]]
-                    if v < 0:
+            x, y, p, q = src_a[i], dst_a[i], src_b[u], dst_b[u]
+            queue += (x, p), (y, q)
+            for j in after_a[y]:  # i·j
+                v = sigma[j]
+                if v != -1:
+                    if src_b[v] != q:
                         return False
-                    queue.append((k, v))
+                    queue.append((after_a[i][pos_a[j]], after_b[u][pos_b[v]]))
+            for j in into_a[x]:  # j·i
+                v = sigma[j]
+                if v != -1:
+                    if dst_b[v] != p:
+                        return False
+                    queue.append((after_a[j][pos_a[i]], after_b[v][pos_b[u]]))
         return True
 
-    def undo(trail: list, objs: list) -> None:
-        for i in reversed(trail):
-            used[sigma[i]] = False
-            sigma[i] = -1
-            assigned.pop()
-        for e in reversed(objs):
-            obj_used.discard(obj_map.pop(e))
-
-    def pick() -> int | None:
+    def pick() -> tuple[int, list[int]] | None:
+        """An unassigned arrow with the fewest candidates that fit, and those."""
         best = None
-        best_count = None
-        for i in range(a.n):
-            if sigma[i] != -1:
-                continue
-            count = sum(
-                1
+        for i in (i for i in range(n) if sigma[i] == -1):
+            x, y = sigma[src_a[i]], sigma[dst_a[i]]
+            fits = [
+                u
                 for u in candidates[color_a[i]]
-                if not used[u]
-                and obj_map.get(a.src[i], b.src[u]) == b.src[u]
-                and obj_map.get(a.dst[i], b.dst[u]) == b.dst[u]
-            )
-            if best_count is None or count < best_count:
-                best, best_count = i, count
-                if count <= 1:
+                if not used[u] and (x < 0 or x == src_b[u]) and (y < 0 or y == dst_b[u])
+            ]
+            if best is None or len(fits) < len(best[1]):
+                best = i, fits
+                if len(fits) <= 1:
                     break
         return best
 
     def search() -> bool:
         nonlocal nodes
-        i = pick()
-        if i is None:
+        best = pick()
+        if best is None:
             return True
-        for u in candidates[color_a[i]]:
-            if used[u]:
-                continue
+        i, fits = best
+        for u in fits:
             nodes += 1
             if nodes > budget:
                 raise SearchTimeout(f"isomorphism search passed {budget} nodes")
             trail: list[int] = []
-            objs: list[int] = []
-            if assign(i, u, trail, objs) and search():
+            if assign(i, u, trail) and search():
                 return True
-            undo(trail, objs)
+            for j in reversed(trail):
+                used[sigma[j]] = False
+                sigma[j] = -1
         return False
 
     return search()
-
-
-def _histogram(values: list[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
 
 
 def categories_equivalent(

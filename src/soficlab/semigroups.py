@@ -12,6 +12,7 @@ relations give a second construction route for presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
@@ -173,6 +174,11 @@ class FiniteSemigroup:
 
     def witness_name(self, i: int) -> str:
         return render_word(self.witnesses[i])
+
+    @cached_property
+    def green_j(self) -> GreenJ:
+        """J-classes, computed once: the table never changes."""
+        return _j_classes(self)
 
     def evaluate(self, word: Word) -> int:
         try:
@@ -404,6 +410,11 @@ class GreenJ:
 
 
 def green_j(semigroup: FiniteSemigroup) -> GreenJ:
+    """J-classes of ``semigroup``, computed on the first call only."""
+    return semigroup.green_j
+
+
+def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
     """Compute J-classes from the generator Cayley graphs.
 
     Multiplying by one generator on either side steps down (or across) the

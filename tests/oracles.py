@@ -3,10 +3,10 @@
 Everything here is deliberately naive and shares no technique with the
 package: blocks come from walking literal edge paths, forbidden-factor
 languages from filtering the free monoid, primitivity from iterating the
-substitution itself.
+substitution itself, category isomorphism from trying every bijection.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def walk_blocks(presentation, max_len):
@@ -70,3 +70,47 @@ def generator_map_isomorphic(s, t):
         for i in range(s.size)
         for j in range(s.size)
     )
+
+
+def naive_categories_isomorphic(c, d):
+    """Is there an isomorphism of finite categories ``c`` and ``d``?
+
+    Reads only ``objects``, ``arrows`` (source, payload, target) and the
+    payload product ``mul``; identities are the arrows (e, e, e).  Tries
+    every object bijection, then every arrow bijection that maps each
+    hom-set onto its image hom-set, and checks identities and composites.
+    """
+    if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
+        return False
+
+    def hom_sets(category):
+        out = {}
+        for arrow in category.arrows:
+            out.setdefault((arrow[0], arrow[2]), []).append(arrow)
+        return out
+
+    def compose(category, x, y):
+        return (x[0], category.mul(x[1], y[1]), y[2])
+
+    hom_c, hom_d = hom_sets(c), hom_sets(d)
+    composable = [(x, y) for x in c.arrows for y in c.arrows if x[2] == y[0]]
+    for image in permutations(d.objects):
+        obj = dict(zip(c.objects, image))
+        pairs = [
+            (arrows, hom_d.get((obj[e], obj[f]), []))
+            for (e, f), arrows in hom_c.items()
+        ]
+        if any(len(a) != len(b) for a, b in pairs):
+            continue
+        for choice in product(*(permutations(b) for _, b in pairs)):
+            arrow = {
+                x: y for (a, _), images in zip(pairs, choice) for x, y in zip(a, images)
+            }
+            if all(
+                arrow[(e, e, e)] == (obj[e], obj[e], obj[e]) for e in c.objects
+            ) and all(
+                arrow[compose(c, x, y)] == compose(d, arrow[x], arrow[y])
+                for x, y in composable
+            ):
+                return True
+    return False

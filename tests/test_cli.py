@@ -26,6 +26,39 @@ def test_compare_goldens():
     assert run("compare", "--builtin", "golden", "--builtin", "period2") == (
         0, "NOT_DISTINGUISHED\n", "",
     )
+    # flow equivalent: the full shift is compared with an adjoined zero
+    assert run("compare", "--builtin", "full2", "--builtin", "golden") == (
+        0, "NOT_DISTINGUISHED\n", "",
+    )
+
+
+def test_compare_full_shift_against_its_expansion(tmp_path):
+    code, expanded, err = run("expand", "--builtin", "full2", "-l", "a")
+    assert (code, err) == (0, "")
+    path = tmp_path / "full2-a.shift"
+    path.write_text(expanded, encoding="utf-8")
+    assert run("compare", str(path), "--builtin", "full2") == (
+        0, "NOT_DISTINGUISHED\n", "",
+    )
+
+
+def test_inspect_and_karoubi_report_the_full_shift_without_a_zero():
+    # compare adjoins a zero to the full shift's semigroup; these do not
+    assert run("inspect", "--builtin", "full2") == (
+        0,
+        "order: 1\n"
+        "idempotents: 1\n"
+        "aperiodic: true\n"
+        "j_classes: 1\n"
+        "regular_j_classes: 1\n"
+        "skeleton_objects: 1\n"
+        "skeleton_hom_matrix: [[1]]\n"
+        "irreducible: true\n",
+        "",
+    )
+    assert run("karoubi", "--builtin", "full2") == (
+        0, "objects a\narrow a a a\ncompose a:a:a a:a:a = a:a:a\n", "",
+    )
 
 
 def test_missing_file_exits_two():

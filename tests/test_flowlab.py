@@ -84,6 +84,36 @@ def test_expansion_invariance_past_the_old_envelope_cap():
     assert sl.expansion_invariance_check(p, [sl.SymbolExpand("b")])
 
 
+def test_full_shift_is_compared_with_a_zero(even, golden, full2, period2):
+    # the a-expansion of full2 is not a full shift, and full2 is flow
+    # equivalent to golden
+    expanded = sl.symbol_expansion(full2, "a")
+    assert sl.flow_compare(expanded, full2).kind is sl.Verdict.NOT_DISTINGUISHED
+    for other in (golden, period2):
+        assert sl.flow_compare(full2, other).kind is sl.Verdict.NOT_DISTINGUISHED
+    assert sl.flow_compare(full2, even).kind is sl.Verdict.NOT_FLOW_EQUIVALENT
+
+
+def test_expansion_invariance_unfiltered():
+    # full shifts and unused letters included: 183 and 11 of these inputs
+    moves = [sl.SymbolExpand("a"), sl.SymbolExpand("b"), sl.HigherBlock(2)]
+    kinds = {"full": 0, "unused letter": 0}
+    failures = []
+    for seed in range(300):
+        p = sl.random_presentation(seed, 2 + seed % 3, AB, 0.3)
+        if sl.is_full_shift(p):
+            kinds["full"] += 1
+        elif {e[1] for e in p.edges} != {"a", "b"}:
+            kinds["unused letter"] += 1
+        failures += [
+            (seed, move)
+            for move in moves
+            if not sl.expansion_invariance_check(p, [move])
+        ]
+    assert kinds == {"full": 183, "unused letter": 11}
+    assert failures == []
+
+
 def test_expansion_invariance_rejects_unknown_symbol(golden):
     with pytest.raises(UnknownSymbol):
         sl.expansion_invariance_check(golden, [sl.SymbolExpand("z")])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
+from soficlab import semigroups
 from soficlab.errors import CapExceeded, NotIdempotent, ParseError
 from soficlab.shift import Alphabet
 
@@ -186,6 +187,22 @@ class TestGreenJ:
         for i, k in j.below:
             assert i != k
             assert (k, i) not in j.below
+
+    def test_computed_once_per_semigroup(self, even, monkeypatch):
+        calls = []
+        compute = semigroups._j_classes
+
+        def counted(semigroup):
+            calls.append(semigroup)
+            return compute(semigroup)
+
+        monkeypatch.setattr(semigroups, "_j_classes", counted)
+        s, _ = sl.syntactic_semigroup(even)
+        assert sl.green_j(s) is sl.green_j(s)
+        assert len(calls) == 1
+        # invariant_report reads the J-classes itself and through the skeleton
+        sl.invariant_report(even)
+        assert len(calls) == 2
 
 
 def test_maximal_subgroup_at_bb_is_cyclic_of_order_two(even):
