@@ -332,7 +332,12 @@ def categories_isomorphic(
                 sigma[j] = -1
         return False
 
-    return search()
+    try:
+        return search()
+    finally:
+        # search calls itself through its closure: drop that reference, so
+        # the search's lists are freed now rather than by the cyclic GC
+        del search
 
 
 def categories_equivalent(

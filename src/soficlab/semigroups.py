@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import AlphabetMismatch, CapExceeded, NotIdempotent, ParseError
 from .shift import Alphabet, Presentation, Word, blocks
@@ -23,6 +24,7 @@ DEFAULT_ELEMENT_CAP = 100_000
 DEFAULT_SUBSET_CAP = 2**20
 
 T = TypeVar("T", bound=Hashable)
+L = TypeVar("L")
 
 
 def render_word(word: Word) -> str:
@@ -142,17 +144,23 @@ def minimize(dfa: Dfa) -> Dfa:
 
 
 class FiniteSemigroup:
-    """Multiplication table with witness names and generator markings.
+    """Finite semigroup with witness names and generator markings.
 
     Elements are indices into ``witnesses``; ``witnesses[i]`` is the
     shortlex-least word mapping onto element i.  ``generators`` maps each
     alphabet symbol to its element.  ``zero`` is the absorbing element
     when one was detected at construction time.
+
+    ``table[i][j]`` is the product i.j.  A semigroup built from its table
+    keeps that table.  One built by a closure holds the right Cayley graph
+    ``right`` and the BFS tree instead, and fills ``table`` on first read,
+    so a caller that multiplies only by generators never pays for the
+    n x n products.
     """
 
     def __init__(
         self,
-        table: tuple[tuple[int, ...], ...],
+        table: Sequence[Sequence[int]],
         witnesses: tuple[Word, ...],
         generators: dict[str, int],
         zero: int | None = None,
@@ -161,13 +169,115 @@ class FiniteSemigroup:
         self.witnesses = witnesses
         self.generators = dict(generators)
         self.zero = zero
+        self._tree: tuple[list[int], list[int]] | None = None
+
+    @classmethod
+    def from_cayley_graph(
+        cls,
+        right: dict[int, tuple[int, ...]],
+        parent: list[int],
+        last: list[int],
+        witnesses: tuple[Word, ...],
+        generators: dict[str, int],
+        zero: int | None = None,
+    ) -> FiniteSemigroup:
+        """Semigroup given by its right Cayley graph and BFS tree.
+
+        ``right[g][x]`` is x.g for each generator element g.  Every other
+        element x is parent[x].last[x], with parent[x] < x and last[x] a
+        generator element; parent[x] is -1 for a generator.
+        """
+        semigroup = cls.__new__(cls)
+        semigroup.right = right
+        semigroup._tree = (parent, last)
+        semigroup.witnesses = witnesses
+        semigroup.generators = dict(generators)
+        semigroup.zero = zero
+        return semigroup
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.witnesses)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n products, filled on first read."""
+        # a list, not a range: its items are read several times faster
+        return tuple(self.rows(list(range(self.size))))
+
+    @cached_property
+    def right(self) -> dict[int, tuple[int, ...]]:
+        """Right Cayley graph: ``right[g][x]`` is x.g for each generator element g."""
+        table = self.table
+        return {g: tuple(row[g] for row in table) for g in set(self.generators.values())}
+
+    def rows(self, labels: Sequence[L]) -> Iterator[tuple[L, ...]]:
+        """The table's rows in order, each product shown by its label:
+        row x holds labels[x.b].
+
+        A given table is relabelled.  Otherwise the rows are filled one at
+        a time (Froidure & Pin, *Algorithms for computing finite
+        semigroups*, 1997).  A generator's row follows the BFS tree through
+        the right Cayley graph, and any other row is x.b = p.(s.b), row(p)
+        read at the positions of row(s), p < x.  Reading positions is
+        blind to the labels, so the one recurrence gives the int table
+        (labels 0..n-1) or the rendered names.  A row is held only
+        until the last row built from it, so a caller that consumes the
+        rows one by one never holds them all.
+        """
+        if self._tree is None:
+            for row in self.table:
+                yield tuple(map(labels.__getitem__, row))
+            return
+        parent, last = self._tree
+        right = self.right
+        n, k = len(parent), len(right)  # the generators are 0..k-1
+        gen_rows = []
+        for g in range(k):
+            row = [right[b][g] for b in range(k)]
+            for b in range(k, n):
+                row.append(right[last[b]][row[parent[b]]])
+            gen_rows.append(row)
+        # Exact-size tuples built in C.  A non-generator means n >= 2, so each
+        # getter has at least two keys and returns a tuple, not a scalar.
+        read_at = [itemgetter(*row) for row in gen_rows]
+        last_child = [-1] * n
+        for x in range(k, n):
+            last_child[parent[x]] = x
+        held: list[tuple[L, ...] | None] = [None] * n
+        for g, row in enumerate(gen_rows):
+            held[g] = tuple(map(labels.__getitem__, row))
+            yield held[g]
+        for x in range(k, n):
+            p = parent[x]
+            row = read_at[last[x]](held[p])
+            if last_child[p] == x:
+                held[p] = None
+            if last_child[x] != -1:
+                held[x] = row
+            yield row
+
+    @cached_property
+    def mul(self) -> Callable[[int, int], int]:
+        """The product i.j, read from the table.
+
+        A closure over the table, so that a caller who keeps ``s.mul``
+        (a category does) reads a product without looking ``table`` up,
+        which the lazy descriptor makes slow, at every call.
+        """
+        table = self.table
+        return lambda i, j: table[i][j]
+
+    def right_steps(self, j: int) -> list[Sequence[int]]:
+        """Columns that, applied in turn to x, give x.j.
+
+        Those of the letters of j's witness in the right Cayley graph, or
+        column j of a given table, whose witnesses need not be words over
+        its generators.
+        """
+        if self._tree is None:
+            return [tuple(row[j] for row in self.table)]
+        return [self.right[self.generators[a]] for a in self.witnesses[j]]
 
     def is_idempotent(self, i: int) -> bool:
         return self.table[i][i] == i
@@ -181,10 +291,12 @@ class FiniteSemigroup:
         return _j_classes(self)
 
     def evaluate(self, word: Word) -> int:
+        """Value of ``word``, stepped through the right Cayley graph."""
+        right, generators = self.right, self.generators
         try:
-            x = self.generators[word[0]]
+            x = generators[word[0]]
             for a in word[1:]:
-                x = self.table[x][self.generators[a]]
+                x = right[generators[a]][x]
         except KeyError as exc:
             raise AlphabetMismatch(f"symbol {exc.args[0]!r} has no generator") from None
         return x
@@ -192,19 +304,24 @@ class FiniteSemigroup:
 
 @dataclass(frozen=True)
 class SemigroupMorphism:
-    """Morphism from nonempty words over ``alphabet`` onto a finite semigroup."""
+    """Morphism from nonempty words over ``alphabet`` onto a finite semigroup.
+
+    ``images`` maps each letter to a generator element of ``semigroup``.
+    """
 
     alphabet: Alphabet
     semigroup: FiniteSemigroup
     images: Mapping[str, int]
 
     def image(self, word: Word) -> int:
+        """Image of ``word``, stepped through the right Cayley graph."""
         if len(word) == 0:
             raise ValueError("morphism is defined on nonempty words")
+        right = self.semigroup.right
         try:
             x = self.images[word[0]]
             for a in word[1:]:
-                x = self.semigroup.table[x][self.images[a]]
+                x = right[self.images[a]][x]
         except KeyError as exc:
             raise AlphabetMismatch(f"symbol {exc.args[0]!r} not in alphabet") from None
         return x
@@ -218,36 +335,36 @@ def _closure(
 ) -> tuple[FiniteSemigroup, dict[str, int]]:
     """Shortlex breadth-first closure of ``generators`` under ``compose``.
 
-    The table is filled a row at a time (Froidure & Pin, *Algorithms for
-    computing finite semigroups*, 1997).  The closure reaches every element
-    x as x = p.s, p its BFS parent and s a generator.  A generator's row
-    comes from the right Cayley graph ``rmul`` through those pairs; any
-    other row is x.b = p.(s.b), row(p) read at row(s), and p < x.
+    It builds what Froidure & Pin (*Algorithms for computing finite
+    semigroups*, 1997) keep: the right Cayley graph and the BFS tree, in
+    which each element x other than a generator is reached as x = p.s, p
+    its BFS parent and s a generator.  The Cayley table is not filled
+    here; the semigroup fills it from these on first read.
     """
     index: dict[T, int] = {}
     values: list[T] = []
     witnesses: list[Word] = []
     gen_ids: dict[str, int] = {}
     # parent[x]: the element x was reached from, -1 for a generator;
-    # last[x]: the position in ``generators`` of the last letter of x.
+    # last[x]: the generator element x ends with (x itself for a generator).
     parent: list[int] = []
     last: list[int] = []
-    for k, (sym, val) in enumerate(generators):
+    for sym, val in generators:
         if val not in index:
             index[val] = len(values)
+            last.append(len(values))
             values.append(val)
             witnesses.append((sym,))
             parent.append(-1)
-            last.append(k)
         gen_ids[sym] = index[val]
     gen_count = len(values)
 
-    rmul: list[list[int]] = []
+    # right[g][x] = x.g; letters with one value share one column.
+    right: list[list[int]] = [[] for _ in range(gen_count)]
     i = 0
     while i < len(values):
-        row = []
-        for k, (sym, gval) in enumerate(generators):
-            product = compose(values[i], gval)
+        for g in range(gen_count):
+            product = compose(values[i], values[g])
             j = index.get(product)
             if j is None:
                 j = len(values)
@@ -255,28 +372,18 @@ def _closure(
                     raise CapExceeded(f"semigroup grew past {cap} elements")
                 index[product] = j
                 values.append(product)
-                witnesses.append(witnesses[i] + (sym,))
+                witnesses.append(witnesses[i] + witnesses[g])
                 parent.append(i)
-                last.append(k)
-            row.append(j)
-        rmul.append(row)
+                last.append(g)
+            right[g].append(j)
         i += 1
 
-    n = len(values)
-    table: list[tuple[int, ...]] = []
-    for g in range(gen_count):
-        grow = [0] * n
-        for b in range(n):
-            p = parent[b]
-            grow[b] = rmul[g if p < 0 else grow[p]][last[b]]
-        table.append(tuple(grow))
-    # Exact-size tuples built in C.  A non-generator means n >= 2, so each
-    # getter has at least two keys and returns a tuple, not a scalar.
-    read_at = [itemgetter(*table[gen_ids[sym]]) for sym, _ in generators]
-    for x in range(gen_count, n):
-        table.append(read_at[last[x]](table[parent[x]]))
     zero = index.get(zero_value) if zero_value is not None else None
-    return FiniteSemigroup(tuple(table), tuple(witnesses), gen_ids, zero), gen_ids
+    semigroup = FiniteSemigroup.from_cayley_graph(
+        {g: tuple(column) for g, column in enumerate(right)},
+        parent, last, tuple(witnesses), gen_ids, zero,
+    )
+    return semigroup, gen_ids
 
 
 def transition_semigroup(
@@ -423,12 +530,13 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
     combined left/right Cayley graph and the order is its condensation.
     """
     n = semigroup.size
+    table = semigroup.table
     gen_ids = sorted(set(semigroup.generators.values()))
     succ: list[set[int]] = [set() for _ in range(n)]
     pred: list[set[int]] = [set() for _ in range(n)]
     for s in range(n):
         for g in gen_ids:
-            for t in (semigroup.table[s][g], semigroup.table[g][s]):
+            for t in (table[s][g], table[g][s]):
                 succ[s].add(t)
                 pred[t].add(s)
 
@@ -513,16 +621,20 @@ def maximal_subgroup(semigroup: FiniteSemigroup, e: int) -> tuple[int, ...]:
 
 
 def is_aperiodic(semigroup: FiniteSemigroup) -> bool:
-    """Whether every element has a power that is idempotent-stable (s^k = s^k+1)."""
+    """Whether every element s has a power with s^k = s^(k+1).
+
+    s^(k+1) is s^k walked along the witness of s through the right Cayley
+    graph, so a semigroup built by a closure never fills its table.
+    """
     for s in range(semigroup.size):
+        steps = semigroup.right_steps(s)
         seen: dict[int, int] = {}
         x = s
-        step = 0
         while x not in seen:
-            seen[x] = step
-            x = semigroup.table[x][s]
-            step += 1
-        if step - seen[x] != 1:
+            seen[x] = len(seen)
+            for column in steps:
+                x = column[x]
+        if len(seen) - seen[x] != 1:
             return False
     return True
 
@@ -534,11 +646,13 @@ def is_plus_free(presentation: Presentation) -> bool:
 
 
 def render_cayley_table(semigroup: FiniteSemigroup) -> str:
-    """Text form: an ``elements`` header line, then the product of row by column."""
+    """Text form: an ``elements`` header line, then the product of row by column.
+
+    The rows are filled with names directly, so the int table is not.
+    """
     names = [semigroup.witness_name(i) for i in range(semigroup.size)]
-    lines = ["elements " + " ".join(names)]
-    lines += [" ".join(map(names.__getitem__, row)) for row in semigroup.table]
-    return "\n".join(lines) + "\n"
+    header = "elements " + " ".join(names)
+    return "\n".join(chain([header], map(" ".join, semigroup.rows(names)), [""]))
 
 
 def parse_cayley_table(text: str) -> FiniteSemigroup:

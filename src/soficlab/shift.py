@@ -39,6 +39,9 @@ Word = tuple[str, ...]
 Edge = tuple[str, str, str]
 
 DEFAULT_WORD_CAP = 1_000_000
+# Symbols in the factors of one substitution image, ten per word at the word
+# cap: an answer's memory and slicing time grow with its symbols, not its words.
+SYMBOL_CAP = 10_000_000
 DEFAULT_VERTEX_CAP = 100_000
 
 EXPANSION_SYMBOL = "@"
@@ -641,8 +644,8 @@ def is_primitive(substitution: Substitution) -> bool:
     return False
 
 
-def _factor_count(word: Word, max_len: int) -> int:
-    """Number of distinct factors of ``word`` of length 1..max_len.
+def _factor_totals(word: Word, max_len: int) -> tuple[int, int]:
+    """Number and total length of the distinct factors of ``word`` of length 1..max_len.
 
     Counted on the suffix automaton of ``word``, in O(len(word)) states,
     without taking a slice: state v stands for the factors whose lengths
@@ -675,10 +678,13 @@ def _factor_count(word: Word, max_len: int) -> int:
                     p = link[p]
                 link[q] = link[cur] = clone
         tail = cur
-    return sum(
-        max(0, min(length[v], max_len) - length[link[v]])
-        for v in range(1, len(length))
-    )
+    count = symbols = 0
+    for v in range(1, len(length)):
+        low, high = length[link[v]], min(length[v], max_len)
+        if high > low:
+            count += high - low
+            symbols += (high * (high + 1) - low * (low + 1)) // 2
+    return count, symbols
 
 
 def substitution_blocks(
@@ -690,7 +696,8 @@ def substitution_blocks(
     stops once the collected set sits still for one extra round and every
     image is at least twice ``max_len`` long, after which no new short
     factor can appear.  CapExceeded when an image grows past ``cap``
-    symbols or the collected set past ``cap`` words.
+    symbols, when the collected set grows past ``cap`` words, or when the
+    factors of one image hold more than SYMBOL_CAP symbols in all.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -705,15 +712,21 @@ def substitution_blocks(
 
     # The loop below cannot stop before every image is 2 * max_len long,
     # and the answer holds every factor of every image up to then.  Count
-    # those factors first, so that an answer past the cap is refused
-    # before any of them is sliced out and stored.
+    # those factors and their symbols first, so that an answer past either
+    # cap is refused before any of them is sliced out and stored.
     images: dict[str, Word] = {a: (a,) for a in substitution.alphabet}
     while not all(len(w) >= 2 * max_len for w in images.values()):
         images = grow(images)
         for w in images.values():
-            if _factor_count(w, max_len) > cap:
+            count, symbols = _factor_totals(w, max_len)
+            if count > cap:
                 raise CapExceeded(
                     f"an image has more than {cap} factors up to length {max_len}"
+                )
+            if symbols > SYMBOL_CAP:
+                raise CapExceeded(
+                    f"the factors of an image up to length {max_len} "
+                    f"hold more than {SYMBOL_CAP} symbols"
                 )
 
     def factors(word: Word, sink: set[Word]) -> None:

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import time
 
 import pytest
 
@@ -93,6 +95,35 @@ def test_syntactic_table_is_parseable():
     assert parsed.size == 7
 
 
+# sha256 of the syntactic stdout as rendered from a fully filled int table:
+# rendering the named rows from the Cayley graph must not change a byte.
+SYNTACTIC_SHA256 = {
+    "even": "12782e5cd168886f1db8a72be242b12213e62aaf69a7e39e9e5c147731d7ffad",
+    "full2": "4737d370cb7b83361289612f096bd85db9af72382d4a4372bde937ce7c9695f5",
+    "golden": "ce490492397a3ab064d00893794a99bf96ae231315b3b81f63b959c480d6a252",
+    "period2": "f6034342ae6d0c0f6d159f22d14e0afd8946d54f764f7272a325d178f50198eb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESENTATIONS))
+def test_syntactic_output_is_pinned_on_presets(name):
+    code, out, err = run("syntactic", "--builtin", name)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == SYNTACTIC_SHA256[name]
+
+
+def test_syntactic_output_is_pinned_at_scale(tmp_path):
+    # |S| = 605: 3.5 MB of table
+    p = sl.random_presentation(224, 6, sl.Alphabet(("a", "b")), 0.25)
+    path = tmp_path / "big.shift"
+    path.write_text(sl.render_presentation(p), encoding="utf-8")
+    code, out, err = run("syntactic", str(path))
+    assert (code, err, len(out)) == (0, "", 3503940)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bcdae777f5c9d40e9ce33094c8d5319d299f085001e8a6f432828fde1fbc723b"
+    )
+
+
 def test_karoubi_dump():
     code, out, err = run("karoubi", "--builtin", "golden")
     assert (code, err) == (0, "")
@@ -122,11 +153,25 @@ def test_subst_blocks():
 
 
 def test_subst_cap_bounds_the_factor_work():
-    # The answer would hold every factor of the 2584-symbol image, more
-    # than the word cap; that is counted before any factor is sliced out.
+    # The factors of the 610-symbol image hold 27 million symbols, more
+    # than the symbol cap; that is counted before any factor is sliced out.
+    # The word cap would have waited for the 2584-symbol image.
     code, out, err = run("subst", "a:ab,b:a", "--blocks", "100000")
     assert (code, out) == (3, "")
-    assert err == "error: an image has more than 1000000 factors up to length 100000\n"
+    assert err == (
+        "error: the factors of an image up to length 100000 hold more than "
+        "10000000 symbols\n"
+    )
+
+
+def test_subst_symbol_cap_refuses_long_periodic_answers():
+    # (ab)^k has two factors of each length: 200000 words, under the word
+    # cap, but about 10**10 symbols.  It is refused at once.
+    start = time.perf_counter()
+    code, out, err = run("subst", "a:ab,b:ab", "--blocks", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "hold more than 10000000 symbols" in err
 
 
 def test_python_dash_m_runs_the_cli():

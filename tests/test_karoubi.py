@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -348,6 +349,18 @@ def test_search_fits_candidates_to_assigned_identities():
 def test_empty_categories_are_isomorphic():
     empty = sl.FiniteCategory((), (), lambda x, y: x)
     assert sl.categories_isomorphic(empty, empty)
+
+
+def test_search_frees_its_state_without_the_cyclic_gc(even):
+    s, _ = sl.syntactic_semigroup(even)
+    sk = sl.envelope_skeleton(s)
+    gc.collect()
+    gc.disable()
+    try:
+        assert sl.categories_isomorphic(sk, relabeled(sk, random.Random(0)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_budget_raises(golden_env):

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
@@ -369,3 +369,82 @@ def test_cayley_render_and_round_trip_at_scale():
     back = sl.parse_cayley_table(text)
     assert back.table == s.table
     assert back.zero == s.zero
+
+
+# A semigroup built by a closure fills its table only when it is read:
+# words, aperiodicity and the rendered table go through the Cayley graph.
+
+
+def naive_is_aperiodic(semigroup):
+    """Powers of each element through the table, until one repeats."""
+    for x in range(semigroup.size):
+        powers = [x]
+        while (nxt := semigroup.table[powers[-1]][x]) not in powers:
+            powers.append(nxt)
+        if nxt != powers[-1]:
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.sampled_from([0.2, 0.3, 0.5]))
+def test_words_are_read_without_the_table(seed, n_vertices, density):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), density)
+    s, m = sl.syntactic_semigroup(p)
+    words = [w for n in range(1, 5) for w in product("ab", repeat=n)]
+    images = [m.image(w) for w in words]
+    values = [s.evaluate(w) for w in words]
+    accepted = [sl.recognize(m, {0}, w) for w in words]
+    assert "table" not in vars(s)
+    for w, x, y, ok in zip(words, images, values, accepted):
+        by_table = s.generators[w[0]]
+        for a in w[1:]:
+            by_table = s.table[by_table][s.generators[a]]
+        assert x == y == by_table
+        assert ok == (by_table == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5), st.sampled_from([0.2, 0.3, 0.5]))
+def test_aperiodic_walk_matches_powers_on_presentations(seed, n_vertices, density):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), density)
+    s, _ = sl.syntactic_semigroup(p)
+    verdict = sl.is_aperiodic(s)
+    assert "table" not in vars(s)
+    assert verdict == naive_is_aperiodic(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations, relations, relations)
+# |S| = 47, not aperiodic; walking the witnesses backwards says it is
+@example(
+    frozenset({(0, 2), (2, 1)}),
+    frozenset({(2, 2), (3, 0)}),
+    frozenset({(0, 2), (1, 3), (2, 2)}),
+)
+def test_aperiodic_walk_matches_powers_on_relations(ra, rb, rc):
+    s, _ = sl.relation_semigroup({"a": ra, "b": rb, "c": rc})
+    assert sl.is_aperiodic(s) == naive_is_aperiodic(s)
+
+
+def test_aperiodic_and_render_at_scale_leave_the_table_unfilled():
+    p = sl.random_presentation(69, 6, Alphabet(("a", "b")), 0.25)
+    s, _ = sl.syntactic_semigroup(p)
+    assert s.size == 1572
+    assert sl.is_aperiodic(s) is True
+    text = sl.render_cayley_table(s)
+    assert "table" not in vars(s)
+    assert text.count("\n") == 1573
+    assert text.splitlines()[2].split()[:3] == [
+        s.witness_name(s.table[1][j]) for j in range(3)
+    ]
+
+
+def test_aperiodic_on_a_parsed_table_of_compound_symbols(even, golden):
+    # Dotted names of 2-block symbols are no words over any generator,
+    # so the parsed semigroup's powers come from its table.
+    for p, expected in ((even, False), (golden, True)):
+        s, _ = sl.syntactic_semigroup(sl.higher_block(p, 2))
+        parsed = sl.parse_cayley_table(sl.render_cayley_table(s))
+        assert parsed.generators == {}
+        assert sl.is_aperiodic(parsed) is sl.is_aperiodic(s) is expected

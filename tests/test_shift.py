@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
-from soficlab import presets
+from soficlab import presets, shift
 from soficlab.errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -16,7 +16,7 @@ from soficlab.errors import (
     UnknownEdge,
     UnknownSymbol,
 )
-from soficlab.shift import _factor_count
+from soficlab.shift import _factor_totals
 
 from oracles import avoiding_words, primitive_by_iteration, walk_blocks
 
@@ -338,6 +338,16 @@ class TestSubstitutions:
         assert len(got) == sum(l + 1 for l in range(1, 101))
         assert all(len(w) <= 100 for w in got)
 
+    def test_blocks_symbol_cap_is_checked_before_slicing(self, fibonacci, monkeypatch):
+        # The longest image reached holds all 5150 blocks up to length 100,
+        # 343400 symbols in all: a symbol cap one lower refuses the answer.
+        monkeypatch.setattr(shift, "SYMBOL_CAP", 343400)
+        got = sl.substitution_blocks(fibonacci, 100, cap=10**4)
+        assert sum(map(len, got)) == 343400
+        monkeypatch.setattr(shift, "SYMBOL_CAP", 343399)
+        with pytest.raises(CapExceeded, match="hold more than 343399 symbols"):
+            sl.substitution_blocks(fibonacci, 100, cap=10**4)
+
     def test_blocks_cap_bounds_the_collected_set(self):
         # Thue-Morse has 70 blocks up to length 7; no single image reached
         # before every image is 14 long has more than 69 of them.
@@ -355,7 +365,7 @@ class TestSubstitutions:
             for i in range(len(word))
             for j in range(i + 1, min(i + max_len, len(word)) + 1)
         }
-        assert _factor_count(word, max_len) == len(sliced)
+        assert _factor_totals(word, max_len) == (len(sliced), sum(map(len, sliced)))
 
     def test_blocks_require_primitive(self):
         with pytest.raises(NotPrimitive):
