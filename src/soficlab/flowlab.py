@@ -91,7 +91,7 @@ def _skeleton_of(presentation: Presentation) -> FiniteCategory:
     semigroup, _ = syntactic_semigroup(presentation)
     if semigroup.zero is None:
         assert semigroup.size == 1, "only a full shift's S lacks a zero"
-        semigroup = FiniteSemigroup(
+        semigroup = FiniteSemigroup.from_table(
             ((0, 1), (1, 1)), semigroup.witnesses + (("0",),), semigroup.generators, 1
         )
     return envelope_skeleton(semigroup)

@@ -151,49 +151,41 @@ class FiniteSemigroup:
     alphabet symbol to its element.  ``zero`` is the absorbing element
     when one was detected at construction time.
 
-    ``table[i][j]`` is the product i.j.  A semigroup built from its table
-    keeps that table.  One built by a closure holds the right Cayley graph
-    ``right`` and the BFS tree instead, and fills ``table`` on first read,
-    so a caller that multiplies only by generators never pays for the
-    n x n products.
+    It is held as its right Cayley graph, ``right[g][x]`` = x.g for the
+    generator elements g = 0..k-1, and its BFS tree: x = parent[x].last[x]
+    for x >= k, parent[x] < x, and a generator g has parent -1 and last g.
+    ``table[i][j]``, the product i.j, is filled on first read.
     """
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
-        witnesses: tuple[Word, ...],
-        generators: dict[str, int],
-        zero: int | None = None,
-    ):
-        self.table = table
-        self.witnesses = witnesses
-        self.generators = dict(generators)
-        self.zero = zero
-        self._tree: tuple[list[int], list[int]] | None = None
-
-    @classmethod
-    def from_cayley_graph(
-        cls,
-        right: dict[int, tuple[int, ...]],
+        right: Sequence[Sequence[int]],
         parent: list[int],
         last: list[int],
         witnesses: tuple[Word, ...],
         generators: dict[str, int],
         zero: int | None = None,
-    ) -> FiniteSemigroup:
-        """Semigroup given by its right Cayley graph and BFS tree.
+    ):
+        self.right = right
+        self.parent = parent
+        self.last = last
+        self.witnesses = witnesses
+        self.generators = dict(generators)
+        self.zero = zero
 
-        ``right[g][x]`` is x.g for each generator element g.  Every other
-        element x is parent[x].last[x], with parent[x] < x and last[x] a
-        generator element; parent[x] is -1 for a generator.
-        """
-        semigroup = cls.__new__(cls)
-        semigroup.right = right
-        semigroup._tree = (parent, last)
-        semigroup.witnesses = witnesses
-        semigroup.generators = dict(generators)
-        semigroup.zero = zero
-        return semigroup
+    @classmethod
+    def from_table(
+        cls,
+        table: Sequence[Sequence[int]],
+        witnesses: tuple[Word, ...],
+        generators: dict[str, int],
+        zero: int | None = None,
+    ) -> FiniteSemigroup:
+        """Semigroup given by its table: every element is a generator column."""
+        n = len(table)
+        return cls(
+            tuple(zip(*table)), [-1] * n, list(range(n)), witnesses, generators, zero
+        )
 
     @property
     def size(self) -> int:
@@ -205,42 +197,31 @@ class FiniteSemigroup:
         # a list, not a range: its items are read several times faster
         return tuple(self.rows(list(range(self.size))))
 
-    @cached_property
-    def right(self) -> dict[int, tuple[int, ...]]:
-        """Right Cayley graph: ``right[g][x]`` is x.g for each generator element g."""
-        table = self.table
-        return {g: tuple(row[g] for row in table) for g in set(self.generators.values())}
-
     def rows(self, labels: Sequence[L]) -> Iterator[tuple[L, ...]]:
         """The table's rows in order, each product shown by its label:
         row x holds labels[x.b].
 
-        A given table is relabelled.  Otherwise the rows are filled one at
-        a time (Froidure & Pin, *Algorithms for computing finite
-        semigroups*, 1997).  A generator's row follows the BFS tree through
-        the right Cayley graph, and any other row is x.b = p.(s.b), row(p)
-        read at the positions of row(s), p < x.  Reading positions is
-        blind to the labels, so the one recurrence gives the int table
-        (labels 0..n-1) or the rendered names.  A row is held only
-        until the last row built from it, so a caller that consumes the
-        rows one by one never holds them all.
+        The rows are filled one at a time (Froidure & Pin, *Algorithms for
+        computing finite semigroups*, 1997).  A generator's row follows
+        the BFS tree through the right Cayley graph, and any other row is
+        x.b = p.(s.b), row(p) read at the positions of row(s), p < x.
+        Reading positions is blind to the labels, so the one recurrence
+        gives the int table (labels 0..n-1) or the rendered names.  A row
+        is held only until the last row built from it, so a caller that
+        consumes the rows one by one never holds them all.
         """
-        if self._tree is None:
-            for row in self.table:
-                yield tuple(map(labels.__getitem__, row))
-            return
-        parent, last = self._tree
-        right = self.right
-        n, k = len(parent), len(right)  # the generators are 0..k-1
+        right, parent, last = self.right, self.parent, self.last
+        n, k = len(parent), len(right)
         gen_rows = []
         for g in range(k):
-            row = [right[b][g] for b in range(k)]
+            row = [column[g] for column in right]
             for b in range(k, n):
                 row.append(right[last[b]][row[parent[b]]])
             gen_rows.append(row)
-        # Exact-size tuples built in C.  A non-generator means n >= 2, so each
-        # getter has at least two keys and returns a tuple, not a scalar.
-        read_at = [itemgetter(*row) for row in gen_rows]
+        # Exact-size tuples built in C, only for generators that end a tree
+        # path (a given table has none).  A non-generator means n >= 2, so
+        # each getter has at least two keys and returns a tuple, not a scalar.
+        read_at = {g: itemgetter(*gen_rows[g]) for g in set(last[k:])}
         last_child = [-1] * n
         for x in range(k, n):
             last_child[parent[x]] = x
@@ -269,15 +250,13 @@ class FiniteSemigroup:
         return lambda i, j: table[i][j]
 
     def right_steps(self, j: int) -> list[Sequence[int]]:
-        """Columns that, applied in turn to x, give x.j.
-
-        Those of the letters of j's witness in the right Cayley graph, or
-        column j of a given table, whose witnesses need not be words over
-        its generators.
-        """
-        if self._tree is None:
-            return [tuple(row[j] for row in self.table)]
-        return [self.right[self.generators[a]] for a in self.witnesses[j]]
+        """Columns of the right Cayley graph that, applied in turn to x,
+        give x.j: those along j's path in the BFS tree."""
+        steps = []
+        while j != -1:
+            steps.append(self.right[self.last[j]])
+            j = self.parent[j]
+        return steps[::-1]
 
     def is_idempotent(self, i: int) -> bool:
         return self.table[i][i] == i
@@ -332,7 +311,7 @@ def _closure(
     compose: Callable[[T, T], T],
     zero_value: T | None,
     cap: int,
-) -> tuple[FiniteSemigroup, dict[str, int]]:
+) -> FiniteSemigroup:
     """Shortlex breadth-first closure of ``generators`` under ``compose``.
 
     It builds what Froidure & Pin (*Algorithms for computing finite
@@ -379,11 +358,9 @@ def _closure(
         i += 1
 
     zero = index.get(zero_value) if zero_value is not None else None
-    semigroup = FiniteSemigroup.from_cayley_graph(
-        {g: tuple(column) for g, column in enumerate(right)},
-        parent, last, tuple(witnesses), gen_ids, zero,
+    return FiniteSemigroup(
+        tuple(map(tuple, right)), parent, last, tuple(witnesses), gen_ids, zero
     )
-    return semigroup, gen_ids
 
 
 def transition_semigroup(
@@ -406,8 +383,8 @@ def transition_semigroup(
         return tuple(g[f[s]] for s in range(n))
 
     zero_value = tuple(dfa.sink for _ in range(n)) if dfa.sink is not None else None
-    semigroup, gen_ids = _closure(generators, compose, zero_value, cap)
-    return semigroup, SemigroupMorphism(dfa.alphabet, semigroup, gen_ids)
+    semigroup = _closure(generators, compose, zero_value, cap)
+    return semigroup, SemigroupMorphism(dfa.alphabet, semigroup, semigroup.generators)
 
 
 def syntactic_semigroup(
@@ -442,9 +419,9 @@ def relation_semigroup(
             outs.setdefault(x, set()).add(y)
         return frozenset((x, z) for x, y in r for z in outs.get(y, ()))
 
-    semigroup, gen_ids = _closure(gens, compose, frozenset(), cap)
+    semigroup = _closure(gens, compose, frozenset(), cap)
     alphabet = Alphabet(tuple(sym for sym, _ in gens))
-    return semigroup, SemigroupMorphism(alphabet, semigroup, gen_ids)
+    return semigroup, SemigroupMorphism(alphabet, semigroup, semigroup.generators)
 
 
 def recognize(morphism: SemigroupMorphism, accept: Iterable[int], word: Word) -> bool:
@@ -623,8 +600,8 @@ def maximal_subgroup(semigroup: FiniteSemigroup, e: int) -> tuple[int, ...]:
 def is_aperiodic(semigroup: FiniteSemigroup) -> bool:
     """Whether every element s has a power with s^k = s^(k+1).
 
-    s^(k+1) is s^k walked along the witness of s through the right Cayley
-    graph, so a semigroup built by a closure never fills its table.
+    s^(k+1) is s^k walked along the path of s in the BFS tree through the
+    right Cayley graph, so the table is never filled.
     """
     for s in range(semigroup.size):
         steps = semigroup.right_steps(s)
@@ -656,7 +633,12 @@ def render_cayley_table(semigroup: FiniteSemigroup) -> str:
 
 
 def parse_cayley_table(text: str) -> FiniteSemigroup:
-    """Parse :func:`render_cayley_table` output back into a semigroup."""
+    """Parse :func:`render_cayley_table` output back into a semigroup.
+
+    A name is p.g when g is an earlier generator, p.g renders as the name
+    and the table agrees; any other name is a generator.  A letter that
+    shares its element with an earlier letter has no name, so it is lost.
+    """
     lines = [
         stripped
         for raw in text.splitlines()
@@ -677,7 +659,18 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
         if len(row) != n or any(name not in index for name in row):
             raise ParseError(f"bad table row: {row_line!r}")
         table.append(tuple(index[name] for name in row))
-    generators = {name: index[name] for name in names if len(name) == 1}
+    witnesses: list[Word] = []
+    generators: dict[str, int] = {}
+    for x, name in enumerate(names):
+        words = (
+            witnesses[p] + (a,)
+            for a, g in generators.items()
+            for p in map(index.get, (name[: -len(a)], name[: -len(a) - 1]))
+            if p is not None and p < x and table[p][g] == x
+        )
+        witnesses.append(next((w for w in words if render_word(w) == name), (name,)))
+        if len(witnesses[x]) == 1:
+            generators[name] = x
     zero = next(
         (
             z
@@ -686,5 +679,4 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
         ),
         None,
     )
-    witnesses = tuple((name,) if len(name) == 1 else tuple(name) for name in names)
-    return FiniteSemigroup(tuple(table), witnesses, generators, zero)
+    return FiniteSemigroup.from_table(table, tuple(witnesses), generators, zero)

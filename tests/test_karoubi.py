@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import soficlab as sl
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
+from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
 
 from oracles import naive_categories_isomorphic
@@ -128,10 +129,8 @@ class _CountingTable(tuple):
 def test_envelope_skeleton_cap_stops_the_scans(golden):
     # golden's first hom-set has 2 arrows, so a cap of 1 is passed after
     # one scan of the table, not after all four
-    s, _ = sl.syntactic_semigroup(golden)
-    counted = sl.FiniteSemigroup(
-        _CountingTable(s.table), s.witnesses, s.generators, s.zero
-    )
+    counted, _ = sl.syntactic_semigroup(golden)
+    vars(counted)["table"] = _CountingTable(counted.table)
     with pytest.raises(CapExceeded):
         sl.envelope_skeleton(counted, cap=1)
     assert counted.table.scans == 1
@@ -344,6 +343,37 @@ def test_search_fits_candidates_to_assigned_identities():
     assert not naive_categories_isomorphic(two_squares, octagon)
     assert not sl.categories_isomorphic(two_squares, octagon, budget=28)
     assert sl.categories_isomorphic(octagon, relabeled(octagon, random.Random(0)))
+
+
+def one_object_group(mul):
+    """Z3 x Z3 x Z3 with product ``mul`` on (a, b, c), as one-object category;
+    payload 9a + 3b + c, so the identity (0, 0, 0) is 0."""
+    triples = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+
+    def encoded(x, y):
+        a, b, c = mul(triples[x], triples[y])
+        return 9 * (a % 3) + 3 * (b % 3) + c % 3
+
+    return sl.FiniteCategory((0,), tuple((0, x, 0) for x in range(27)), encoded)
+
+
+def test_search_forces_composites():
+    # Z3^3 against the Heisenberg group mod 3: both have exponent 3, so
+    # color refinement gives each the same two colors, identity and the
+    # rest, and only forcing the images of composites tells them apart.
+    # Dropping both forcing loops of the search accepts this pair;
+    # dropping either one alone still rejects it.
+    abelian = one_object_group(lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+    heisenberg = one_object_group(
+        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
+    )
+    comps = _composition(abelian), _composition(heisenberg)
+    colors = _refine_colors(comps)
+    assert [sorted(set(cs)) for cs in colors] == [[0, 1], [0, 1]]
+    assert sorted(colors[0]) == sorted(colors[1])
+    assert not sl.categories_isomorphic(abelian, heisenberg)
+    assert sl.categories_isomorphic(abelian, abelian)
+    assert sl.categories_isomorphic(heisenberg, heisenberg)
 
 
 def test_empty_categories_are_isomorphic():

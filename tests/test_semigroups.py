@@ -371,6 +371,22 @@ def test_cayley_render_and_round_trip_at_scale():
     assert back.zero == s.zero
 
 
+def test_round_trip_keeps_witnesses_and_generators_of_block_recodings():
+    shared = 0
+    for seed in range(60):
+        p = sl.random_presentation(seed, 2 + seed % 5, Alphabet(("a", "b")), 0.3)
+        for q in (p, sl.higher_block(p, 2)):
+            s, _ = sl.syntactic_semigroup(q)
+            back = sl.parse_cayley_table(sl.render_cayley_table(s))
+            assert back.witnesses == s.witnesses
+            assert back.table == s.table
+            # a letter that shares its element with an earlier one has no name
+            kept = {a: g for a, g in s.generators.items() if s.witnesses[g] == (a,)}
+            assert back.generators == kept
+            shared += kept != s.generators
+    assert shared > 0
+
+
 # A semigroup built by a closure fills its table only when it is read:
 # words, aperiodicity and the rendered table go through the Cayley graph.
 
@@ -441,10 +457,11 @@ def test_aperiodic_and_render_at_scale_leave_the_table_unfilled():
 
 
 def test_aperiodic_on_a_parsed_table_of_compound_symbols(even, golden):
-    # Dotted names of 2-block symbols are no words over any generator,
-    # so the parsed semigroup's powers come from its table.
+    # Dotted names of 2-block symbols parse back into words over the
+    # 2-block letters, and the powers are walked through the parsed table.
     for p, expected in ((even, False), (golden, True)):
         s, _ = sl.syntactic_semigroup(sl.higher_block(p, 2))
         parsed = sl.parse_cayley_table(sl.render_cayley_table(s))
-        assert parsed.generators == {}
+        assert parsed.generators == s.generators
+        assert parsed.witnesses == s.witnesses
         assert sl.is_aperiodic(parsed) is sl.is_aperiodic(s) is expected
