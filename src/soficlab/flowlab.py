@@ -85,8 +85,7 @@ def _skeleton_of(presentation: Presentation) -> FiniteCategory:
     lacks one, and S is then trivial (its minimal automaton has one
     state).  Adjoining a zero there keeps the skeleton invariant under
     moves such as symbol expansion, which make a full shift not full.
-    The zero is reached from no generator, so ``green_j`` would leave it
-    out of the J-order of a larger S.  Reports and dumps show S.
+    Reports and dumps show S.
     """
     semigroup, _ = syntactic_semigroup(presentation)
     if semigroup.zero is None:

@@ -14,6 +14,7 @@ then assigned by backtracking, so that two arrows compose exactly when
 their images do.  Objects need no map of their own: an arrow's ends are
 the identities it composes with, so assigning an arrow assigns those
 identities, and a candidate must fit the ones already assigned.
+``dump_category`` prints the composites from the same lists.
 
 Two idempotents are isomorphic in the envelope exactly when they are
 D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
@@ -350,23 +351,23 @@ def categories_equivalent(
     return categories_isomorphic(skeleton(c), skeleton(d), budget=budget)
 
 
-def arrow_token(category: FiniteCategory, arrow: Arrow) -> str:
-    e, s, f = arrow
-    return f"{category.name(e)}:{category.name(s)}:{category.name(f)}"
-
-
 def dump_category(category: FiniteCategory) -> str:
-    """Deterministic text dump: objects, arrows, and all composites."""
-    lines = ["objects " + " ".join(category.name(o) for o in category.objects)]
-    for e, s, f in category.arrows:
-        lines.append(f"arrow {category.name(e)} {category.name(s)} {category.name(f)}")
-    for x in category.arrows:
-        for y in category.arrows:
-            if x[2] == y[0]:
-                z = category.compose(x, y)
-                lines.append(
-                    "compose "
-                    f"{arrow_token(category, x)} {arrow_token(category, y)} "
-                    f"= {arrow_token(category, z)}"
-                )
+    """Deterministic text dump: objects, arrows, and all composites.
+
+    The composites are read from the search's composition lists: for each
+    arrow x in order, x y for each arrow y leaving the target of x.
+    """
+    name = category.name
+    lines = ["objects " + " ".join(map(name, category.objects))]
+    tokens = []
+    for arrow in category.arrows:
+        e, s, f = map(name, arrow)
+        lines.append(f"arrow {e} {s} {f}")
+        tokens.append(f"{e}:{s}:{f}")
+    _, dst, _, after, _ = _composition(category)
+    for i, y in enumerate(dst):
+        lines.extend(
+            f"compose {tokens[i]} {tokens[j]} = {tokens[k]}"
+            for j, k in zip(after[y], after[i])
+        )
     return "\n".join(lines) + "\n"

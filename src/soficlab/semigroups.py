@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -499,88 +499,73 @@ def green_j(semigroup: FiniteSemigroup) -> GreenJ:
 
 
 def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
-    """Compute J-classes from the generator Cayley graphs.
+    """Compute J-classes from the Cayley graphs, in one Tarjan pass.
 
     Multiplying by one generator on either side steps down (or across) the
     J-order, and every two-sided ideal membership is witnessed by such
-    steps, so J-classes are the strongly connected components of the
-    combined left/right Cayley graph and the order is its condensation.
+    steps, so J-classes are the strongly connected components of the graph
+    with edges s -> s.g (the columns of ``right``) and s -> g.s (the table
+    rows of the generator elements g), and the order is its condensation.
+    Tarjan's algorithm finishes a component after every component it
+    reaches, so the set below a component is a bit mask at hand when it
+    finishes: the union, over its edges into other components d, of d and
+    the set below d.  Classes are numbered by least member.
     """
     n = semigroup.size
-    table = semigroup.table
-    gen_ids = sorted(set(semigroup.generators.values()))
-    succ: list[set[int]] = [set() for _ in range(n)]
-    pred: list[set[int]] = [set() for _ in range(n)]
-    for s in range(n):
-        for g in gen_ids:
-            for t in (table[s][g], table[g][s]):
-                succ[s].add(t)
-                pred[t].add(s)
-
-    # Kosaraju: first pass order, second pass on reversed edges.
-    visited = [False] * n
-    finish: list[int] = []
-    for s0 in range(n):
-        if visited[s0]:
+    columns = (*semigroup.right, *semigroup.table[: len(semigroup.right)])
+    tick, finished = count(), count()
+    num = [-1] * n  # discovery order
+    low = [0] * n  # least num reached on the stack; n once s's component is done
+    # components below s seen so far; once done, those below and s's own,
+    # which is the highest bit since a component finishes after those below
+    down = [0] * n
+    stack: list[int] = []
+    for root in range(n):
+        if num[root] != -1:
             continue
-        stack: list[tuple[int, Iterable[int]]] = [(s0, iter(succ[s0]))]
-        visited[s0] = True
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
+        num[root] = low[root] = next(tick)
+        stack.append(root)
+        path = [(root, iter([c[root] for c in columns]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if num[w] == -1:
+                    num[w] = low[w] = next(tick)
+                    stack.append(w)
+                    path.append((w, iter([c[w] for c in columns])))
                     break
-            if not advanced:
-                finish.append(v)
-                stack.pop()
-    component = [-1] * n
-    count = 0
-    for s0 in reversed(finish):
-        if component[s0] != -1:
-            continue
-        stack2 = [s0]
-        component[s0] = count
-        while stack2:
-            v = stack2.pop()
-            for w in pred[v]:
-                if component[w] == -1:
-                    component[w] = count
-                    stack2.append(w)
-        count += 1
+                if low[w] < low[v]:
+                    low[v] = low[w]
+                down[v] |= down[w]
+            else:
+                path.pop()
+                if low[v] == num[v]:
+                    mask = down[v] | 1 << next(finished)
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        low[w], down[w] = n, mask
+                if path:
+                    u = path[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    down[u] |= down[v]
 
     members: dict[int, list[int]] = {}
     for s in range(n):
-        members.setdefault(component[s], []).append(s)
-    ordered = sorted(members.values(), key=min)
-    renumber = {component[m[0]]: k for k, m in enumerate(ordered)}
-
-    edges: list[set[int]] = [set() for _ in range(len(ordered))]
-    for s in range(n):
-        for t in succ[s]:
-            a, b = renumber[component[s]], renumber[component[t]]
-            if a != b:
-                edges[a].add(b)
-    below: set[tuple[int, int]] = set()
-    for top in range(len(ordered)):
-        seen = set()
-        stack3 = list(edges[top])
-        while stack3:
-            c = stack3.pop()
-            if c in seen:
-                continue
-            seen.add(c)
-            stack3.extend(edges[c])
-        below.update((low, top) for low in seen)
-
-    classes = tuple(tuple(m) for m in ordered)
+        members.setdefault(down[s].bit_length() - 1, []).append(s)
+    rank = {c: k for k, c in enumerate(members)}
+    below = frozenset(
+        (rank[d], rank[c])
+        for c, cls in members.items()
+        for d, bit in enumerate(reversed(f"{down[cls[0]]:b}"))
+        if bit == "1" and d != c
+    )
+    classes = tuple(map(tuple, members.values()))
     regular = tuple(
         any(semigroup.is_idempotent(e) for e in cls) for cls in classes
     )
-    return GreenJ(classes, frozenset(below), regular)
+    return GreenJ(classes, below, regular)
 
 
 def maximal_subgroup(semigroup: FiniteSemigroup, e: int) -> tuple[int, ...]:
@@ -638,6 +623,8 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
     A name is p.g when g is an earlier generator, p.g renders as the name
     and the table agrees; any other name is a generator.  A letter that
     shares its element with an earlier letter has no name, so it is lost.
+    A trivial semigroup gets no zero, as the syntactic one of a full shift
+    has none.
     """
     lines = [
         stripped
@@ -674,7 +661,7 @@ def parse_cayley_table(text: str) -> FiniteSemigroup:
     zero = next(
         (
             z
-            for z in range(n)
+            for z in range(n if n > 1 else 0)
             if all(table[z][j] == z and table[j][z] == z for j in range(n))
         ),
         None,

@@ -483,25 +483,21 @@ def higher_block(
         raise EmptyShift("no path of the requested length")
     index = {p: f"q{i}" for i, p in enumerate(paths)}
 
-    def label(path: tuple[Edge, ...]) -> str:
-        return ".".join(e[1] for e in path)
-
-    labels: list[str] = []
-    label_set: set[str] = set()
+    words: dict[str, Word] = {}  # each symbol's label word
     edges: list[Edge] = []
     for p in paths:
         for e in presentation.out_edges[p[-1][2]]:
             q = p + (e,)
-            sym = label(q)
-            if sym not in label_set:
-                label_set.add(sym)
-                labels.append(sym)
-                if len(labels) > cap:
-                    raise CapExceeded(f"more than {cap} block symbols")
+            word = tuple(x[1] for x in q)
+            sym = ".".join(word)
+            if words.setdefault(sym, word) != word:
+                raise SymbolClash(f"blocks {words[sym]} and {word} both join to {sym!r}")
+            if len(words) > cap:
+                raise CapExceeded(f"more than {cap} block symbols")
             edges.append((index[p], sym, index[q[1:]]))
 
-    key = {s: i for i, s in enumerate(presentation.alphabet)}
-    labels.sort(key=lambda sym: [key[c] for c in sym.split(".")])
+    key = presentation.alphabet.sort_key
+    labels = sorted(words, key=lambda sym: key(words[sym]))
     raw = Presentation(Alphabet(tuple(labels)), tuple(index.values()), tuple(edges))
     return trim_essential(raw)
 

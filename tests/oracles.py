@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no technique with the
 package: blocks come from walking literal edge paths, forbidden-factor
 languages from filtering the free monoid, primitivity from iterating the
-substitution itself, category isomorphism from trying every bijection.
+substitution itself, category isomorphism from trying every bijection,
+J-classes from the two-sided ideals themselves, composites from trying
+every pair of arrows.
 """
 
 from itertools import permutations, product
@@ -70,6 +72,50 @@ def generator_map_isomorphic(s, t):
         for i in range(s.size)
         for j in range(s.size)
     )
+
+
+def naive_green_j(table):
+    """J-classes, ``below`` and regularity from the table alone.
+
+    x <=_J y iff x lies in the ideal S¹yS¹, which is y, yS, Sy and SyS;
+    x and y are J-equivalent iff their ideals are equal.  Classes are
+    numbered by least member, like ``green_j``.
+    """
+    n = len(table)
+    columns = [frozenset(row[z] for row in table) for z in range(n)]
+    ideals = []
+    for y in range(n):
+        ideal = {y, *table[y], *columns[y]}
+        for z in set(table[y]):
+            ideal |= columns[z]
+        ideals.append(frozenset(ideal))
+    members = {}
+    for x in range(n):
+        members.setdefault(ideals[x], []).append(x)
+    keys = list(members)
+    below = frozenset(
+        (i, j) for i, a in enumerate(keys) for j, b in enumerate(keys) if a < b
+    )
+    regular = tuple(any(table[e][e] == e for e in m) for m in members.values())
+    return tuple(map(tuple, members.values())), below, regular
+
+
+def naive_dump_category(category):
+    """``dump_category`` by composing every consecutive pair of arrows."""
+
+    def token(arrow):
+        e, s, f = arrow
+        return f"{category.name(e)}:{category.name(s)}:{category.name(f)}"
+
+    lines = ["objects " + " ".join(category.name(o) for o in category.objects)]
+    for e, s, f in category.arrows:
+        lines.append(f"arrow {category.name(e)} {category.name(s)} {category.name(f)}")
+    for x in category.arrows:
+        for y in category.arrows:
+            if x[2] == y[0]:
+                z = category.compose(x, y)
+                lines.append(f"compose {token(x)} {token(y)} = {token(z)}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_categories_isomorphic(c, d):

@@ -146,6 +146,31 @@ def test_hblock_output_loads_back():
     assert len(reloaded.edges) == 5
 
 
+def test_hblock_recodes_its_own_output(tmp_path):
+    code, once, err = run("hblock", "--builtin", "golden", "-n", "2")
+    assert (code, err) == (0, "")
+    path = tmp_path / "golden2.shift"
+    path.write_text(once, encoding="utf-8")
+    code, twice, err = run("hblock", str(path), "-n", "2")
+    assert (code, err) == (0, "")
+    assert sl.load_presentation(twice).alphabet.symbols == (
+        "a.a.a.a", "a.a.a.b", "a.b.b.a", "b.a.a.a", "b.a.a.b",
+    )
+
+
+def test_hblock_symbol_clash_exits_two(tmp_path):
+    # the 2-blocks (a, b.c) and (a.b, c) would both be named a.b.c
+    path = tmp_path / "clash.shift"
+    path.write_text(
+        "alphabet a b a.b b.c c\n"
+        "edge 1 a 2\nedge 2 b.c 1\nedge 1 a.b 3\nedge 3 c 1\nedge 1 b 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run("hblock", str(path), "-n", "2")
+    assert (code, out) == (2, "")
+    assert "a.b.c" in err
+
+
 def test_subst_blocks():
     code, out, err = run("subst", "a:ab,b:a", "--blocks", "3")
     assert (code, err) == (0, "")

@@ -10,7 +10,7 @@ from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
 from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
 
-from oracles import naive_categories_isomorphic
+from oracles import naive_categories_isomorphic, naive_dump_category
 
 
 @pytest.fixture
@@ -434,3 +434,15 @@ def test_dump_category_golden_skeleton_pinned(golden_env):
         "compose bb:bb:bb bb:bb:a = bb:bb:a\n"
         "compose bb:bb:bb bb:bb:bb = bb:bb:bb\n"
     )
+
+
+def test_dump_category_matches_all_pairs_oracle():
+    checked = 0
+    for seed in range(150):
+        p = sl.random_presentation(seed, 2 + seed % 3, Alphabet(("a", "b")), 0.15)
+        s, _ = sl.syntactic_semigroup(p)
+        if s.size <= 60:
+            for category in (sl.envelope_skeleton(s), sl.karoubi_envelope(s)):
+                assert sl.dump_category(category) == naive_dump_category(category)
+            checked += s.size > 1
+    assert checked >= 100

@@ -9,7 +9,7 @@ from soficlab import semigroups
 from soficlab.errors import CapExceeded, NotIdempotent, ParseError
 from soficlab.shift import Alphabet
 
-from oracles import generator_map_isomorphic
+from oracles import generator_map_isomorphic, naive_green_j
 
 
 def witnesses(semigroup):
@@ -205,6 +205,54 @@ class TestGreenJ:
         assert len(calls) == 2
 
 
+def assert_green_j_matches_oracle(semigroup):
+    j = sl.green_j(semigroup)
+    assert (j.classes, j.below, j.regular) == naive_green_j(semigroup.table)
+
+
+def test_green_j_matches_oracle_on_syntactic_semigroups_and_their_tables():
+    checked = 0
+    for seed in range(60):
+        p = sl.random_presentation(seed, 3 + seed % 3, Alphabet(("a", "b")), 0.15)
+        s, _ = sl.syntactic_semigroup(p)
+        if s.size <= 150:
+            assert_green_j_matches_oracle(s)
+            assert_green_j_matches_oracle(
+                sl.parse_cayley_table(sl.render_cayley_table(s))
+            )
+            checked += s.size > 1
+    assert checked >= 30
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from("abc"),
+        st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_green_j_matches_oracle_on_relation_semigroups(gens):
+    s, _ = sl.relation_semigroup(gens)
+    assert_green_j_matches_oracle(s)
+
+
+def test_green_j_puts_an_adjoined_zero_below():
+    # the zero flowlab adjoins to a full shift's S: a column, not a letter
+    s = sl.FiniteSemigroup.from_table(((0, 1), (1, 1)), (("a",), ("0",)), {"a": 0}, 1)
+    assert sl.green_j(s) == sl.GreenJ(((0,), (1,)), frozenset({(1, 0)}), (True, True))
+    assert_green_j_matches_oracle(s)
+
+
+def test_green_j_on_a_long_chain():
+    s, _ = sl.relation_semigroup({"a": [(i, i + 1) for i in range(60)]})
+    j = sl.green_j(s)
+    assert s.size == len(j.classes) == 61
+    assert len(j.below) == 61 * 60 // 2
+    assert_green_j_matches_oracle(s)
+
+
 def test_maximal_subgroup_at_bb_is_cyclic_of_order_two(even):
     s, _ = sl.syntactic_semigroup(even)
     bb = witnesses(s).index("bb")
@@ -380,6 +428,7 @@ def test_round_trip_keeps_witnesses_and_generators_of_block_recodings():
             back = sl.parse_cayley_table(sl.render_cayley_table(s))
             assert back.witnesses == s.witnesses
             assert back.table == s.table
+            assert back.zero == s.zero
             # a letter that shares its element with an earlier one has no name
             kept = {a: g for a, g in s.generators.items() if s.witnesses[g] == (a,)}
             assert back.generators == kept

@@ -268,6 +268,17 @@ def test_higher_block_count_law(name, order):
         assert len(got) == len(want)
 
 
+def test_higher_block_twice_recodes_compound_symbols():
+    """X^[2][2] has a symbol per 3-block of X, so its n-blocks are X's (n+2)-blocks."""
+    for seed in range(40):
+        p = sl.random_presentation(seed, 2 + seed % 3, sl.Alphabet(("a", "b")), 0.15)
+        q = sl.higher_block(sl.higher_block(p, 2), 2)
+        got = sl.blocks(q, 5)
+        want = sl.blocks(p, 7)
+        for n in range(1, 6):
+            assert sum(len(w) == n for w in got) == sum(len(w) == n + 2 for w in want)
+
+
 def test_block_map_xor():
     binary = sl.Alphabet(("0", "1"))
     xor = sl.BlockMap.from_function(
