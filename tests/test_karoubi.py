@@ -136,9 +136,33 @@ def test_envelope_skeleton_cap_stops_the_scans(golden):
     assert counted.table.scans == 1
 
 
+def assert_skeleton_matches_scans(s, sk):
+    """Objects are the least idempotent of each regular J-class, pairwise
+    non-isomorphic, and each hom-set is a direct scan of the table."""
+    green = sl.green_j(s)
+    least = sorted(
+        min(e for e in cls if s.is_idempotent(e))
+        for cls, regular in zip(green.classes, green.regular)
+        if regular
+    )
+    assert list(sk.objects) == least
+    for e in sk.objects:
+        for f in sk.objects:
+            scan = [x for x in range(s.size) if s.mul(s.mul(e, x), f) == x]
+            assert [x for _, x, _ in sk.hom(e, f)] == scan
+    for i, e in enumerate(sk.objects):
+        for f in sk.objects[i + 1 :]:
+            assert not sl.objects_isomorphic(sk, e, f)
+
+
 def assert_skeleton_matches_oracle(semigroup):
     direct = sl.envelope_skeleton(semigroup)
-    oracle = sl.skeleton(sl.karoubi_envelope(semigroup))
+    try:
+        oracle = sl.skeleton(sl.karoubi_envelope(semigroup))
+    except CapExceeded:
+        # the oracle's own cap, not the package's: check against scans instead
+        assert_skeleton_matches_scans(semigroup, direct)
+        return
     assert direct.objects == oracle.objects
     assert direct.arrows == oracle.arrows
 
@@ -185,21 +209,9 @@ def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap():
     )
     assert s.size == 1290 and len(sl.idempotents(s)) == 295
     sk = sl.envelope_skeleton(s)
-    green = sl.green_j(s)
-    least = sorted(
-        min(e for e in cls if s.is_idempotent(e))
-        for cls, regular in zip(green.classes, green.regular)
-        if regular
-    )
-    assert list(sk.objects) == least and len(least) == 6
+    assert len(sk.objects) == 6
     assert len(sk.arrows) == 308
-    for e in sk.objects:
-        for f in sk.objects:
-            scan = [x for x in range(s.size) if s.mul(s.mul(e, x), f) == x]
-            assert [x for _, x, _ in sk.hom(e, f)] == scan
-    for i, e in enumerate(sk.objects):
-        for f in sk.objects[i + 1 :]:
-            assert not sl.objects_isomorphic(sk, e, f)
+    assert_skeleton_matches_scans(s, sk)
 
 
 def test_envelope_skeleton_matches_oracle_without_zero(full2):
