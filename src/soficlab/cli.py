@@ -11,13 +11,14 @@ import argparse
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 from typing import IO, Callable, Optional, Sequence
 
 from . import presets
 from .errors import InputError, ResourceError
 from .flowlab import flow_compare, invariant_report, markov_dyck_flow_compare
-from .karoubi import dump_category, envelope_skeleton
+from .karoubi import dump_chunks, envelope_skeleton
 from .semigroups import (
     is_plus_free,
     render_cayley_table,
@@ -128,7 +129,8 @@ def _cmd_syntactic(args: argparse.Namespace, out: IO[str]) -> int:
 
 def _cmd_karoubi(args: argparse.Namespace, out: IO[str]) -> int:
     semigroup, _ = syntactic_semigroup(_one_presentation(args))
-    out.write(dump_category(envelope_skeleton(semigroup)))
+    for chunk in dump_chunks(envelope_skeleton(semigroup)):
+        out.write(chunk)
     return 0
 
 
@@ -199,6 +201,7 @@ def _add_source(sub: argparse.ArgumentParser) -> None:
                      help="built-in shift: " + ", ".join(sorted(presets.PRESENTATIONS)))
 
 
+@cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="soficlab",

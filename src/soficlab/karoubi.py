@@ -20,18 +20,24 @@ Two idempotents are isomorphic in the envelope exactly when they are
 D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
 builds the skeleton directly: one object per regular J-class, its least
 idempotent, and the hom-set e S f between each pair.  It never builds
-the whole envelope.  ``karoubi_envelope``, ``objects_isomorphic`` and
-``skeleton`` take the general route and serve as its oracle.
+the whole envelope, and it reads every product from the semigroup's
+Cayley graphs, never from its n x n table.  ``karoubi_envelope``,
+``objects_isomorphic`` and ``skeleton`` take the general route, through
+the table, and serve as its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded, SearchTimeout, UnknownObject
 from .semigroups import FiniteSemigroup, green_j, idempotents
 
 Arrow = tuple[int, int, int]
+# products(xs, ts): for each t in ts, x t for every x in xs
+Products = Callable[[Sequence[int], Sequence[int]], Sequence[Sequence[int]]]
 
 DEFAULT_ARROW_CAP = 200_000
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -42,7 +48,9 @@ class FiniteCategory:
 
     ``mul`` multiplies payloads; arrows are (source, payload, target)
     triples closed under composition.  ``name`` renders payloads for
-    dumps.
+    dumps.  ``products(xs, ts)`` gives, for each payload t in ts, x t
+    for every payload x in xs: by default one ``mul`` call each; a
+    semigroup passes its own, which reads them in batches.
     """
 
     def __init__(
@@ -51,11 +59,15 @@ class FiniteCategory:
         arrows: tuple[Arrow, ...],
         mul: Callable[[int, int], int],
         name: Callable[[int], str] = str,
+        products: Products | None = None,
     ):
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
         self.mul = mul
         self.name = name
+        self.products = products or (
+            lambda xs, ts: [[mul(x, t) for x in xs] for t in ts]
+        )
         self._object_set = frozenset(self.objects)
         hom: dict[tuple[int, int], list[Arrow]] = {}
         for arrow in self.arrows:
@@ -111,9 +123,10 @@ def envelope_skeleton(
     Objects are the least idempotent of each regular J-class, in
     ascending order; the arrows from e to f are e S f in ascending order.
     These are the objects and arrows of
-    ``skeleton(karoubi_envelope(semigroup))``.  Every hom-set holds at
-    least e e f, so checking the cap per hom-set bounds the work by
-    cap * |S|.
+    ``skeleton(karoubi_envelope(semigroup))``.  e S is e's row of the
+    table, built alone by the tree recurrence, and e S f is its image
+    walked along f's path.  Every hom-set holds at least e e f, so
+    checking the cap per hom-set bounds the work by cap * |S|.
     """
     green = green_j(semigroup)
     idempotent = semigroup.is_idempotent
@@ -122,18 +135,28 @@ def envelope_skeleton(
         for cls, regular in zip(green.classes, green.regular)
         if regular
     )
-    table = semigroup.table
     arrows: list[Arrow] = []
     for e in objects:
-        row_e = table[e]
+        e_s = set(semigroup.row(e))
         for f in objects:
-            hom = sorted({row_e[row[f]] for row in table})
-            arrows.extend((e, s, f) for s in hom)
+            arrows.extend((e, s, f) for s in _hom_set(semigroup, e_s, f))
             if len(arrows) > cap:
                 raise CapExceeded(f"envelope skeleton grew past {cap} arrows")
     return FiniteCategory(
-        tuple(objects), tuple(arrows), semigroup.mul, semigroup.witness_name
+        tuple(objects),
+        tuple(arrows),
+        semigroup.product,
+        semigroup.witness_name,
+        semigroup.products,
     )
+
+
+def _hom_set(semigroup: FiniteSemigroup, e_s: set[int], f: int) -> list[int]:
+    """e S f in ascending order: the image of the set e S along f's path."""
+    xs = e_s
+    for column in semigroup.right_steps(f):
+        xs = {column[x] for x in xs}
+    return sorted(xs)
 
 
 def objects_isomorphic(category: FiniteCategory, e: int, f: int) -> bool:
@@ -163,7 +186,9 @@ def skeleton(category: FiniteCategory) -> FiniteCategory:
             reps.append(o)
     keep = set(reps)
     arrows = tuple(a for a in category.arrows if a[0] in keep and a[2] in keep)
-    return FiniteCategory(tuple(reps), arrows, category.mul, category.name)
+    return FiniteCategory(
+        tuple(reps), arrows, category.mul, category.name, category.products
+    )
 
 
 def hom_size_matrix(category: FiniteCategory) -> list[list[int]]:
@@ -179,6 +204,10 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
     target, and, for an identity, the arrows entering it.  ``after[x]``
     lists the arrows leaving an identity x, and i·j is
     ``after[i][pos[j]]`` when ``dst[i] == src[j]``.
+
+    The composites are read a column at a time: the payloads of all
+    arrows i entering f are multiplied together by the payload of each
+    arrow j leaving f, and each column is indexed in one C-level pass.
     """
     arrows = category.arrows
     index = {a: i for i, a in enumerate(arrows)}
@@ -191,11 +220,20 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
         pos.append(len(leaving[x]))
         leaving[x].append(j)
         into[y].append(j)
-    mul = category.mul
-    after = [
-        [index[e, mul(s, arrows[j][1]), arrows[j][2]] for j in leaving[y]]
-        for (e, s, _), y in zip(arrows, dst)
-    ]
+    products = category.products
+    after: list[tuple[int, ...]] = [()] * len(arrows)
+    for entering, leaving_y in zip(into, leaving):
+        if not entering:  # not an identity
+            continue
+        sources = [arrows[i][0] for i in entering]
+        payloads = [arrows[i][1] for i in entering]
+        out = [arrows[j] for j in leaving_y]
+        columns = [
+            list(map(index.__getitem__, zip(sources, column, repeat(g))))
+            for (_, _, g), column in zip(out, products(payloads, [t for _, t, _ in out]))
+        ]
+        for i, composites in zip(entering, zip(*columns)):
+            after[i] = composites
     return src, dst, pos, after, into
 
 
@@ -351,11 +389,13 @@ def categories_equivalent(
     return categories_isomorphic(skeleton(c), skeleton(d), budget=budget)
 
 
-def dump_category(category: FiniteCategory) -> str:
+def dump_chunks(category: FiniteCategory) -> Iterator[str]:
     """Deterministic text dump: objects, arrows, and all composites.
 
-    The composites are read from the search's composition lists: for each
-    arrow x in order, x y for each arrow y leaving the target of x.
+    The objects and arrows come first, in one chunk; then one chunk of
+    lines per arrow x in order: x y for each arrow y leaving the target
+    of x, read from the search's composition lists.  A writer that takes
+    the chunks one by one holds only those lists and one chunk.
     """
     name = category.name
     lines = ["objects " + " ".join(map(name, category.objects))]
@@ -364,10 +404,15 @@ def dump_category(category: FiniteCategory) -> str:
         e, s, f = map(name, arrow)
         lines.append(f"arrow {e} {s} {f}")
         tokens.append(f"{e}:{s}:{f}")
+    yield "".join(line + "\n" for line in lines)
     _, dst, _, after, _ = _composition(category)
     for i, y in enumerate(dst):
-        lines.extend(
-            f"compose {tokens[i]} {tokens[j]} = {tokens[k]}"
+        yield "".join(
+            f"compose {tokens[i]} {tokens[j]} = {tokens[k]}\n"
             for j, k in zip(after[y], after[i])
         )
-    return "\n".join(lines) + "\n"
+
+
+def dump_category(category: FiniteCategory) -> str:
+    """The whole dump of :func:`dump_chunks` as one string."""
+    return "".join(dump_chunks(category))

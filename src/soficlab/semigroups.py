@@ -154,7 +154,11 @@ class FiniteSemigroup:
     It is held as its right Cayley graph, ``right[g][x]`` = x.g for the
     generator elements g = 0..k-1, and its BFS tree: x = parent[x].last[x]
     for x >= k, parent[x] < x, and a generator g has parent -1 and last g.
-    ``table[i][j]``, the product i.j, is filled on first read.
+    Every product is read from these (Froidure & Pin, *Algorithms for
+    computing finite semigroups*, 1997): x.j walks j's tree path from x
+    through ``right``, and the left Cayley graph ``left[g][x]`` = g.x
+    follows from the tree.  ``table[i][j]``, the whole n x n table, is
+    filled only on first read; no verdict reads it.
     """
 
     def __init__(
@@ -197,36 +201,43 @@ class FiniteSemigroup:
         # a list, not a range: its items are read several times faster
         return tuple(self.rows(list(range(self.size))))
 
+    def row(self, i: int) -> list[int]:
+        """i.x for every x, by the tree: i.x = (i.p).s for x = p.s."""
+        right, parent, last = self.right, self.parent, self.last
+        row = [column[i] for column in right]
+        for x in range(len(right), len(parent)):
+            row.append(right[last[x]][row[parent[x]]])
+        return row
+
+    @cached_property
+    def left(self) -> tuple[list[int], ...]:
+        """The left Cayley graph: ``left[g][x]`` = g.x for the generator
+        elements g, which are the generators' rows of the table."""
+        return tuple(map(self.row, range(len(self.right))))
+
     def rows(self, labels: Sequence[L]) -> Iterator[tuple[L, ...]]:
         """The table's rows in order, each product shown by its label:
         row x holds labels[x.b].
 
-        The rows are filled one at a time (Froidure & Pin, *Algorithms for
-        computing finite semigroups*, 1997).  A generator's row follows
-        the BFS tree through the right Cayley graph, and any other row is
-        x.b = p.(s.b), row(p) read at the positions of row(s), p < x.
-        Reading positions is blind to the labels, so the one recurrence
-        gives the int table (labels 0..n-1) or the rendered names.  A row
-        is held only until the last row built from it, so a caller that
-        consumes the rows one by one never holds them all.
+        The rows are filled one at a time.  A generator's row is its row
+        of ``left``, and any other row is x.b = p.(s.b), row(p) read at
+        the positions of row(s), p < x.  Reading positions is blind to
+        the labels, so the one recurrence gives the int table (labels
+        0..n-1) or the rendered names.  A row is held only until the last
+        row built from it, so a caller that consumes the rows one by one
+        never holds them all.
         """
-        right, parent, last = self.right, self.parent, self.last
-        n, k = len(parent), len(right)
-        gen_rows = []
-        for g in range(k):
-            row = [column[g] for column in right]
-            for b in range(k, n):
-                row.append(right[last[b]][row[parent[b]]])
-            gen_rows.append(row)
+        parent, last, left = self.parent, self.last, self.left
+        n, k = len(parent), len(left)
         # Exact-size tuples built in C, only for generators that end a tree
         # path (a given table has none).  A non-generator means n >= 2, so
         # each getter has at least two keys and returns a tuple, not a scalar.
-        read_at = {g: itemgetter(*gen_rows[g]) for g in set(last[k:])}
+        read_at = {g: itemgetter(*left[g]) for g in set(last[k:])}
         last_child = [-1] * n
         for x in range(k, n):
             last_child[parent[x]] = x
         held: list[tuple[L, ...] | None] = [None] * n
-        for g, row in enumerate(gen_rows):
+        for g, row in enumerate(left):
             held[g] = tuple(map(labels.__getitem__, row))
             yield held[g]
         for x in range(k, n):
@@ -240,11 +251,12 @@ class FiniteSemigroup:
 
     @cached_property
     def mul(self) -> Callable[[int, int], int]:
-        """The product i.j, read from the table.
+        """The product i.j, read from the table, which this fills.
 
         A closure over the table, so that a caller who keeps ``s.mul``
         (a category does) reads a product without looking ``table`` up,
-        which the lazy descriptor makes slow, at every call.
+        which the lazy descriptor makes slow, at every call.  ``product``
+        gives the same without the table.
         """
         table = self.table
         return lambda i, j: table[i][j]
@@ -258,8 +270,41 @@ class FiniteSemigroup:
             j = self.parent[j]
         return steps[::-1]
 
+    def product(self, i: int, j: int) -> int:
+        """i.j, walked along j's path from i."""
+        for column in self.right_steps(j):
+            i = column[i]
+        return i
+
+    def products(self, xs: Sequence[int], js: Sequence[int]) -> list[tuple[int, ...]]:
+        """For each j in js, x.j for every x in xs.
+
+        The xs are walked together along the tree paths of the js, one
+        C-level ``itemgetter`` per tree node, and the products at each
+        node are kept for the call, so a prefix that several paths share
+        is walked once.
+        """
+        if not xs:
+            return [()] * len(js)
+        right, parent, last = self.right, self.parent, self.last
+        at = {-1: tuple(xs)}  # node -> x.node for each x
+        out = []
+        for j in js:
+            path = []
+            while j not in at:
+                path.append(j)
+                j = parent[j]
+            ys = at[j]
+            for node in reversed(path):
+                column = right[last[node]]
+                # a getter of one key returns a scalar
+                ys = itemgetter(*ys)(column) if len(ys) > 1 else (column[ys[0]],)
+                at[node] = ys
+            out.append(ys)
+        return out
+
     def is_idempotent(self, i: int) -> bool:
-        return self.table[i][i] == i
+        return self.product(i, i) == i
 
     def witness_name(self, i: int) -> str:
         return render_word(self.witnesses[i])
@@ -357,7 +402,8 @@ def _closure(
             right[g].append(j)
         i += 1
 
-    zero = index.get(zero_value) if zero_value is not None else None
+    # a trivial semigroup has no zero, as in parse_cayley_table
+    zero = index.get(zero_value) if len(values) > 1 else None
     return FiniteSemigroup(
         tuple(map(tuple, right)), parent, last, tuple(witnesses), gen_ids, zero
     )
@@ -380,7 +426,8 @@ def transition_semigroup(
     ]
 
     def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(g[f[s]] for s in range(n))
+        # g[f[s]] for each state s, in C; one key would give a scalar
+        return itemgetter(*f)(g) if n > 1 else (g[f[0]],)
 
     zero_value = tuple(dfa.sink for _ in range(n)) if dfa.sink is not None else None
     semigroup = _closure(generators, compose, zero_value, cap)
@@ -504,15 +551,15 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
     Multiplying by one generator on either side steps down (or across) the
     J-order, and every two-sided ideal membership is witnessed by such
     steps, so J-classes are the strongly connected components of the graph
-    with edges s -> s.g (the columns of ``right``) and s -> g.s (the table
-    rows of the generator elements g), and the order is its condensation.
+    with edges s -> s.g (the columns of ``right``) and s -> g.s (the rows
+    of ``left``), and the order is its condensation.
     Tarjan's algorithm finishes a component after every component it
     reaches, so the set below a component is a bit mask at hand when it
     finishes: the union, over its edges into other components d, of d and
     the set below d.  Classes are numbered by least member.
     """
     n = semigroup.size
-    columns = (*semigroup.right, *semigroup.table[: len(semigroup.right)])
+    columns = (*semigroup.right, *semigroup.left)
     tick, finished = count(), count()
     num = [-1] * n  # discovery order
     low = [0] * n  # least num reached on the stack; n once s's component is done

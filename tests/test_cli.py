@@ -5,7 +5,7 @@ import time
 import pytest
 
 import soficlab as sl
-from soficlab import presets
+from soficlab import cli, presets
 from soficlab.cli import main
 
 
@@ -327,6 +327,25 @@ def test_subcommand_help_exits_zero():
     code, out, _ = run("member", "--help")
     assert code == 0
     assert "WORD" in out
+
+
+def test_one_parser_serves_every_call_as_a_fresh_one_would():
+    # a usage error, --help, then a verdict, in one process: each output
+    # is what a parser built for that call alone gives
+    calls = (
+        ["compare", "--builtin"],
+        ["--help"],
+        ["compare", "--builtin", "even", "--builtin", "golden"],
+    )
+    assert cli.build_parser() is cli.build_parser()
+    in_turn = [run(*argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(*argv))
+    assert in_turn == alone
+    assert [code for code, _, _ in in_turn] == [1, 0, 0]
+    assert in_turn[2][1] == "NOT_FLOW_EQUIVALENT\n"
 
 
 def test_output_is_byte_identical_across_runs():

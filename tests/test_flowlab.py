@@ -1,7 +1,8 @@
 import pytest
 
 import soficlab as sl
-from soficlab import presets
+from soficlab import flowlab, presets
+from soficlab.shift import Alphabet
 from soficlab.errors import InputError, UnknownSymbol
 
 AB = sl.Alphabet(("a", "b"))
@@ -217,3 +218,31 @@ class TestBracketComparison:
             (("p", "y", "x"), ("q", "y", "x"), ("r", "x", "y"), ("s", "x", "y")),
         )
         assert sl.markov_dyck_flow_compare(left, right).kind is sl.Verdict.FLOW_EQUIVALENT
+
+
+def test_verdict_paths_leave_the_table_unfilled(monkeypatch):
+    made = []
+    build = flowlab.syntactic_semigroup
+
+    def recorded(presentation):
+        s, m = build(presentation)
+        made.append(s)
+        return s, m
+
+    monkeypatch.setattr(flowlab, "syntactic_semigroup", recorded)
+    ab = Alphabet(("a", "b"))
+    # ladder inputs of |S| 11 and 220, each against two flow moves of it
+    for seed, vertices in ((17, 4), (26, 4), (2617, 6), (657, 4)):
+        p = sl.random_presentation(seed, vertices, ab, 0.25)
+        for q in (sl.symbol_expansion(p, "a"), sl.higher_block(p, 2)):
+            assert sl.flow_compare(p, q).kind is sl.Verdict.NOT_DISTINGUISHED
+            sl.invariant_report(q)
+    # |S| = 2148 against its a-expansion, |S| = 5074
+    p = sl.random_presentation(3, 6, ab, 0.25)
+    q = sl.symbol_expansion(p, "a")
+    assert sl.flow_compare(p, q).kind is sl.Verdict.NOT_DISTINGUISHED
+    assert sl.invariant_report(q).order == 5074
+    assert len(made) == 27
+    for s in made:
+        sl.dump_category(sl.envelope_skeleton(s))
+        assert "table" not in vars(s)

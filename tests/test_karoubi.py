@@ -6,6 +6,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
+from soficlab import karoubi
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
 from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
@@ -116,24 +117,35 @@ def test_envelope_skeleton_cap(golden):
         sl.envelope_skeleton(s, cap=4)
 
 
-class _CountingTable(tuple):
-    """Cayley table that counts the scans over its rows."""
-
-    scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-
-def test_envelope_skeleton_cap_stops_the_scans(golden):
+def test_envelope_skeleton_cap_stops_the_scans(golden, monkeypatch):
     # golden's first hom-set has 2 arrows, so a cap of 1 is passed after
-    # one scan of the table, not after all four
-    counted, _ = sl.syntactic_semigroup(golden)
-    vars(counted)["table"] = _CountingTable(counted.table)
+    # one hom-set is built, not after all four
+    s, _ = sl.syntactic_semigroup(golden)
+    built = []
+
+    def counted(semigroup, e_s, f):
+        built.append(f)
+        return hom_set(semigroup, e_s, f)
+
+    hom_set = karoubi._hom_set
+    monkeypatch.setattr(karoubi, "_hom_set", counted)
     with pytest.raises(CapExceeded):
-        sl.envelope_skeleton(counted, cap=1)
-    assert counted.table.scans == 1
+        sl.envelope_skeleton(s, cap=1)
+    assert len(built) == 1
+    assert "table" not in vars(s)
+
+
+def test_composites_through_the_cayley_graph_match_the_table():
+    # the skeleton multiplies payloads in batches along tree paths; the
+    # same category with the table's product goes one pair at a time
+    ab = Alphabet(("a", "b"))
+    inputs = [(seed, 2 + seed % 5, 0.3) for seed in range(20)] + [(224, 6, 0.25)]
+    for seed, vertices, density in inputs:
+        s, _ = sl.syntactic_semigroup(sl.random_presentation(seed, vertices, ab, density))
+        sk = sl.envelope_skeleton(s)
+        by_table = sl.FiniteCategory(sk.objects, sk.arrows, s.mul, sk.name)
+        assert _composition(sk) == _composition(by_table)
+        assert sl.dump_category(sk) == sl.dump_category(by_table)
 
 
 def assert_skeleton_matches_scans(s, sk):

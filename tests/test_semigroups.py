@@ -514,3 +514,67 @@ def test_aperiodic_on_a_parsed_table_of_compound_symbols(even, golden):
         assert parsed.generators == s.generators
         assert parsed.witnesses == s.witnesses
         assert sl.is_aperiodic(parsed) is sl.is_aperiodic(s) is expected
+
+
+# The verdict paths read products from the Cayley graphs: the left graph
+# from the tree, idempotents by walking, and batches of products along
+# tree paths.  Each must agree with the table.
+
+
+def assert_cayley_graphs_match_the_table(s, js=None):
+    left, idempotents = s.left, sl.idempotents(s)
+    table = s.table
+    assert [list(row) for row in left] == [list(table[g]) for g in range(len(s.right))]
+    assert idempotents == [x for x in range(s.size) if table[x][x] == x]
+    js = range(s.size) if js is None else js
+    xs = range(s.size)
+    assert s.products(xs, js) == [tuple(table[x][j] for x in xs) for j in js]
+    last = s.size - 1  # a batch of one
+    assert s.products([last], js) == [(table[last][j],) for j in js]
+
+
+def roadmap_family():
+    """65 syntactic semigroups of |S| up to 3491 (see ROADMAP item 1)."""
+    ab = Alphabet(("a", "b"))
+    for seed in range(60):
+        yield sl.random_presentation(seed, 2 + seed % 5, ab, 0.3)
+    for seed in (3, 69, 224):
+        yield sl.random_presentation(seed, 6, ab, 0.25)
+    for seed in (69, 224):
+        yield sl.symbol_expansion(sl.random_presentation(seed, 6, ab, 0.25), "a")
+
+
+def test_cayley_graphs_match_the_table_on_syntactic_semigroups_and_parsed_tables():
+    sizes = []
+    for p in roadmap_family():
+        s, _ = sl.syntactic_semigroup(p)
+        sizes.append(s.size)
+        # every product of the small ones, and 100 columns of the large ones
+        assert_cayley_graphs_match_the_table(s, range(0, s.size, 1 + s.size // 100))
+        if s.size <= 400:
+            parsed = sl.parse_cayley_table(sl.render_cayley_table(s))
+            assert_cayley_graphs_match_the_table(parsed)
+    assert len(sizes) == 65 and max(sizes) == 3491
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations, relations, relations)
+def test_cayley_graphs_match_the_table_on_relation_semigroups(ra, rb, rc):
+    s, _ = sl.relation_semigroup({"a": ra, "b": rb, "c": rc})
+    assert_cayley_graphs_match_the_table(s)
+
+
+def test_a_one_state_automaton_has_a_one_element_semigroup():
+    dfa = sl.Dfa(Alphabet(("a", "b")), ((0, 0),), 0, frozenset({0}), None)
+    s, m = sl.transition_semigroup(dfa)
+    assert s.size == 1 and s.table == ((0,),)
+    assert m.image(("a", "b")) == 0
+
+
+def test_round_trip_keeps_the_zero_of_a_trivial_relation_semigroup():
+    # the empty relation alone: a trivial semigroup, tagged with no zero
+    # by the closure as by the parser
+    s, _ = sl.relation_semigroup({"a": []})
+    back = sl.parse_cayley_table(sl.render_cayley_table(s))
+    assert s.size == back.size == 1
+    assert back.zero == s.zero
