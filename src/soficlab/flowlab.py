@@ -31,6 +31,7 @@ from .semigroups import (
     green_j,
     idempotents,
     is_aperiodic,
+    is_full_shift,
     syntactic_semigroup,
 )
 from .shift import (
@@ -38,7 +39,6 @@ from .shift import (
     DyckGraph,
     Presentation,
     higher_block,
-    is_full_shift,
     is_irreducible,
     symbol_expansion,
 )

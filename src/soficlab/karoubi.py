@@ -19,11 +19,12 @@ identities, and a candidate must fit the ones already assigned.
 Two idempotents are isomorphic in the envelope exactly when they are
 D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
 builds the skeleton directly: one object per regular J-class, its least
-idempotent, and the hom-set e S f between each pair.  It never builds
-the whole envelope, and it reads every product from the semigroup's
-Cayley graphs, never from its n x n table.  ``karoubi_envelope``,
-``objects_isomorphic`` and ``skeleton`` take the general route, through
-the table, and serve as its oracle.
+idempotent, and the hom-set e S f, the image of e S along f's path,
+between each pair.  It never builds the whole envelope.
+``karoubi_envelope``, ``objects_isomorphic`` and ``skeleton`` take the
+general route and serve as its oracle; the envelope's arrows from e to
+f are the fixed points of right multiplication by f in e S, so the two
+routes share no hom-set code.  Neither reads the n x n table.
 """
 
 from __future__ import annotations
@@ -98,20 +99,26 @@ class FiniteCategory:
 def karoubi_envelope(
     semigroup: FiniteSemigroup, *, cap: int = DEFAULT_ARROW_CAP
 ) -> FiniteCategory:
-    """Envelope category of ``semigroup``; see the module docstring."""
+    """Envelope category of ``semigroup``; see the module docstring.
+
+    e s f = s exactly when s is in e S and s f = s: e S is e's row, and
+    s f is read for every idempotent f in one batch.  Every hom-set holds
+    e f, so checking the cap per hom-set bounds the work.
+    """
     objects = tuple(idempotents(semigroup))
-    table = semigroup.table
     arrows: list[Arrow] = []
     for e in objects:
-        row = table[e]
-        for f in objects:
-            for s in range(semigroup.size):
-                if row[table[s][f]] == s:
-                    arrows.append((e, s, f))
-                    if len(arrows) > cap:
-                        raise CapExceeded(f"envelope grew past {cap} arrows")
+        e_s = sorted(set(semigroup.row(e)))
+        for f, column in zip(objects, semigroup.products(e_s, objects)):
+            arrows.extend((e, s, f) for s, sf in zip(e_s, column) if s == sf)
+            if len(arrows) > cap:
+                raise CapExceeded(f"envelope grew past {cap} arrows")
     return FiniteCategory(
-        objects, tuple(arrows), semigroup.mul, semigroup.witness_name
+        objects,
+        tuple(arrows),
+        semigroup.product,
+        semigroup.witness_name,
+        semigroup.products,
     )
 
 

@@ -95,6 +95,22 @@ def determinize_minimal(
     return minimize(raw)
 
 
+def is_full_shift(presentation: Presentation) -> bool:
+    """Whether every nonempty word over the alphabet labels some path.
+
+    A word leads the minimal DFA of the block language into the sink
+    exactly when it is not a block, and every state but the sink is
+    reached from the start, so the shift is full exactly when no state
+    other than the sink has a transition into it.  Raises CapExceeded
+    past the default subset cap of :func:`determinize_minimal`.
+    """
+    dfa = determinize_minimal(presentation)
+    sink = dfa.sink
+    return not any(
+        sink in row for state, row in enumerate(dfa.transitions) if state != sink
+    )
+
+
 def minimize(dfa: Dfa) -> Dfa:
     """Moore partition refinement, with states renamed in search order."""
     n = dfa.size
@@ -158,7 +174,8 @@ class FiniteSemigroup:
     computing finite semigroups*, 1997): x.j walks j's tree path from x
     through ``right``, and the left Cayley graph ``left[g][x]`` = g.x
     follows from the tree.  ``table[i][j]``, the whole n x n table, is
-    filled only on first read; no verdict reads it.
+    filled only on first read, for callers that want every product at
+    once; no function in the package reads it.
     """
 
     def __init__(
@@ -249,18 +266,6 @@ class FiniteSemigroup:
                 held[x] = row
             yield row
 
-    @cached_property
-    def mul(self) -> Callable[[int, int], int]:
-        """The product i.j, read from the table, which this fills.
-
-        A closure over the table, so that a caller who keeps ``s.mul``
-        (a category does) reads a product without looking ``table`` up,
-        which the lazy descriptor makes slow, at every call.  ``product``
-        gives the same without the table.
-        """
-        table = self.table
-        return lambda i, j: table[i][j]
-
     def right_steps(self, j: int) -> list[Sequence[int]]:
         """Columns of the right Cayley graph that, applied in turn to x,
         give x.j: those along j's path in the BFS tree."""
@@ -316,6 +321,8 @@ class FiniteSemigroup:
 
     def evaluate(self, word: Word) -> int:
         """Value of ``word``, stepped through the right Cayley graph."""
+        if len(word) == 0:
+            raise ValueError("a semigroup evaluates nonempty words only")
         right, generators = self.right, self.generators
         try:
             x = generators[word[0]]
@@ -616,17 +623,21 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
 
 
 def maximal_subgroup(semigroup: FiniteSemigroup, e: int) -> tuple[int, ...]:
-    """Group of units of the local monoid e S e, which has identity e."""
+    """Group of units of the local monoid e S e, which has identity e.
+
+    e S e is x.e for x in e's row, and x is a unit when x.y = e = y.x
+    for some y in e S e, with x.y read from x's row.
+    """
     if not semigroup.is_idempotent(e):
         raise NotIdempotent(f"element {semigroup.witness_name(e)} is not idempotent")
-    table = semigroup.table
-    local = sorted({table[e][table[s][e]] for s in range(semigroup.size)})
-    units = [
+    (column,) = semigroup.products(semigroup.row(e), [e])
+    local = sorted(set(column))
+    product = semigroup.product
+    return tuple(
         x
-        for x in local
-        if any(table[x][y] == e and table[y][x] == e for y in local)
-    ]
-    return tuple(units)
+        for x, row in zip(local, map(semigroup.row, local))
+        if any(row[y] == e and product(y, x) == e for y in local)
+    )
 
 
 def is_aperiodic(semigroup: FiniteSemigroup) -> bool:

@@ -349,30 +349,6 @@ def is_irreducible(presentation: Presentation) -> bool:
     return len(backward) == len(vertices)
 
 
-def is_full_shift(presentation: Presentation) -> bool:
-    """Whether every nonempty word over the alphabet labels some path.
-
-    Runs the subset construction from the set of all vertices and looks for
-    the empty set; reaching it exhibits a word that is not a block. The
-    number of subsets is finite, so the search always terminates.
-    """
-    start = frozenset(presentation.vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        for a in presentation.alphabet.symbols:
-            nxt = frozenset(
-                w for u in current for w in presentation.successors(u, a)
-            )
-            if not nxt:
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
-
-
 def shift_from_forbidden(alphabet: Alphabet, forbidden: Iterable[Word]) -> Presentation:
     """Presentation of the shift over ``alphabet`` avoiding the given factors.
 

@@ -148,11 +148,9 @@ def test_criterion_8_structural_suites(announce):
                 assert any((a,) + w in words for a in p.alphabet)
 
         semigroup, _ = sl.syntactic_semigroup(p)
-        n = semigroup.size
+        n, table = semigroup.size, semigroup.table
         for i, j, k in product(range(n), repeat=3):
-            assert semigroup.mul(semigroup.mul(i, j), k) == semigroup.mul(
-                i, semigroup.mul(j, k)
-            )
+            assert table[table[i][j]][k] == table[i][table[j][k]]
 
         envelope = sl.karoubi_envelope(semigroup)
         idem = sl.idempotents(semigroup)
@@ -161,7 +159,7 @@ def test_criterion_8_structural_suites(announce):
             for x in range(n)
             for e in idem
             for f in idem
-            if semigroup.mul(semigroup.mul(e, x), f) == x
+            if table[table[e][x]][f] == x
         )
 
         once = sl.skeleton(envelope)

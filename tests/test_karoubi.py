@@ -28,6 +28,7 @@ def even_env(even):
 
 def test_objects_are_the_idempotents(golden_env):
     s, cat = golden_env
+    assert "table" not in vars(s)
     assert list(cat.objects) == sl.idempotents(s)
     assert len(cat.objects) == 4
 
@@ -35,7 +36,7 @@ def test_objects_are_the_idempotents(golden_env):
 def test_every_arrow_satisfies_the_sandwich_law(golden_env, even_env):
     for s, cat in (golden_env, even_env):
         for e, x, f in cat.arrows:
-            assert s.mul(s.mul(e, x), f) == x
+            assert s.table[s.table[e][x]][f] == x
 
 
 def test_arrow_count_formula(golden_env, even_env):
@@ -47,7 +48,7 @@ def test_arrow_count_formula(golden_env, even_env):
             for x in range(s.size)
             for e in idem
             for f in idem
-            if s.mul(s.mul(e, x), f) == x
+            if s.table[s.table[e][x]][f] == x
         )
         assert len(cat.arrows) == expected
 
@@ -102,6 +103,24 @@ def test_envelope_cap(golden):
         sl.karoubi_envelope(s, cap=3)
 
 
+def test_envelope_cap_stops_after_one_hom_set(golden, monkeypatch):
+    # golden's first hom-set has 2 arrows, so a cap of 1 is passed after
+    # the first idempotent's batch of products, not after all four
+    s, _ = sl.syntactic_semigroup(golden)
+    batches = []
+
+    def counted(xs, js):
+        batches.append(js)
+        return products(xs, js)
+
+    products = s.products
+    monkeypatch.setattr(s, "products", counted)
+    with pytest.raises(CapExceeded, match="envelope grew past 1 arrows"):
+        sl.karoubi_envelope(s, cap=1)
+    assert len(batches) == 1
+    assert "table" not in vars(s)
+
+
 def test_envelope_skeleton_golden(golden):
     s, _ = sl.syntactic_semigroup(golden)
     sk = sl.envelope_skeleton(s)
@@ -143,7 +162,10 @@ def test_composites_through_the_cayley_graph_match_the_table():
     for seed, vertices, density in inputs:
         s, _ = sl.syntactic_semigroup(sl.random_presentation(seed, vertices, ab, density))
         sk = sl.envelope_skeleton(s)
-        by_table = sl.FiniteCategory(sk.objects, sk.arrows, s.mul, sk.name)
+        table = s.table
+        by_table = sl.FiniteCategory(
+            sk.objects, sk.arrows, lambda i, j: table[i][j], sk.name
+        )
         assert _composition(sk) == _composition(by_table)
         assert sl.dump_category(sk) == sl.dump_category(by_table)
 
@@ -160,7 +182,7 @@ def assert_skeleton_matches_scans(s, sk):
     assert list(sk.objects) == least
     for e in sk.objects:
         for f in sk.objects:
-            scan = [x for x in range(s.size) if s.mul(s.mul(e, x), f) == x]
+            scan = [x for x in range(s.size) if s.table[s.table[e][x]][f] == x]
             assert [x for _, x, _ in sk.hom(e, f)] == scan
     for i, e in enumerate(sk.objects):
         for f in sk.objects[i + 1 :]:
@@ -210,8 +232,9 @@ def test_envelope_skeleton_matches_oracle_on_relation_semigroups(ra, rb, rc):
 
 
 def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap():
-    # |S| = 1290 with 295 idempotents: karoubi_envelope raises CapExceeded,
-    # so the skeleton is checked against direct scans of the table
+    # |S| = 1290 with 295 idempotents: karoubi_envelope passes its default
+    # cap, so the skeleton is checked against the envelope under a larger
+    # cap and against direct scans of the table
     s, _ = sl.relation_semigroup(
         {
             "a": {(0, 1), (3, 0), (1, 2)},
@@ -223,6 +246,11 @@ def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap():
     sk = sl.envelope_skeleton(s)
     assert len(sk.objects) == 6
     assert len(sk.arrows) == 308
+    with pytest.raises(CapExceeded):
+        sl.karoubi_envelope(s)
+    oracle = sl.skeleton(sl.karoubi_envelope(s, cap=400_000))
+    assert sk.objects == oracle.objects
+    assert sk.arrows == oracle.arrows
     assert_skeleton_matches_scans(s, sk)
 
 

@@ -149,6 +149,22 @@ def test_full_shift_check_sees_through_unused_letters():
     assert not sl.is_full_shift(lonely)
 
 
+def test_full_shift_check_matches_blocks():
+    # a shortest word that is not a block leads the subset construction
+    # from all vertices to the empty set through distinct nonempty subsets,
+    # so it is at most L = 2^|V| - 1 long; there are 2^(L+1) - 2 words
+    # of length 1..L over two letters
+    verdicts = []
+    for seed in range(120):
+        density = (0.3, 0.5, 0.7)[seed // 3 % 3]
+        p = sl.random_presentation(seed, 1 + seed % 3, AB, density)
+        top = 2 ** len(p.vertices) - 1
+        full = len(sl.blocks(p, top)) == 2 ** (top + 1) - 2
+        assert sl.is_full_shift(p) == full
+        verdicts.append(full)
+    assert 10 <= verdicts.count(True) <= 110
+
+
 class TestShiftFromForbidden:
     def test_golden_mean_language(self, golden):
         built = sl.shift_from_forbidden(AB, [("b", "b")])
