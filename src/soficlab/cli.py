@@ -70,7 +70,10 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _builtin_presentation(name: str) -> Presentation:

@@ -11,9 +11,13 @@ The search stores only the pairs of arrows that compose: for each arrow
 x, the index of x y for every arrow y leaving the target of x.  Arrows of
 both categories are colored jointly by refining on those composites,
 then assigned by backtracking, so that two arrows compose exactly when
-their images do.  Objects need no map of their own: an arrow's ends are
-the identities it composes with, so assigning an arrow assigns those
-identities, and a candidate must fit the ones already assigned.
+their images do.  A refinement round codes each pair of old colors as
+one int and sorts the codes at C level; it stops at a stable coloring,
+or once every arrow's color is its own on each side, where the search
+checks the one pairing left.  Objects need no map of their own: an
+arrow's ends are the identities it composes with, so assigning an arrow
+assigns those identities, and a candidate must fit the ones already
+assigned.
 ``dump_category`` prints the composites from the same lists.
 
 Two idempotents are isomorphic in the envelope exactly when they are
@@ -30,7 +34,7 @@ routes share no hom-set code.  Neither reads the n x n table.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import itemgetter
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded, SearchTimeout, UnknownObject
@@ -252,32 +256,49 @@ def _refine_colors(comps: tuple) -> list[list[int]]:
     (j, j·i) over the j entering its source.  A key holds the old color,
     so the partition only splits, and it is stable once the joint
     palette stops growing.
+
+    Both pair lists of every arrow are built once; a round codes a pair
+    of old colors (c, d) as c * size + d, size being the old palette's,
+    so sorting the codes sorts the pairs, and the palette is numbered as
+    with the pairs themselves.  Refinement stops early once the palette
+    has n colors and each side's n arrows have distinct ones: a class
+    then holds one arrow per side, no round can split it within a side,
+    and the search checks such a pairing in at most n nodes.
     """
     palette: dict[tuple, int] = {}
     colors = []
-    for src, dst, *_ in comps:
+    pairs = []
+    for src, dst, pos, after, into in comps:
         keys = ((i == x, x == y) for i, (x, y) in enumerate(zip(src, dst)))
         colors.append([palette.setdefault(key, len(palette)) for key in keys])
+        # per arrow i: the j leaving its target and i·j; those entering its
+        # source and j·i
+        pairs.append((
+            [after[y] for y in dst],
+            after,
+            [into[x] for x in src],
+            [[after[j][p] for j in into[x]] for x, p in zip(src, pos)],
+        ))
 
-    def profile(cs: list[int], pairs) -> tuple:
-        return tuple(sorted((cs[j], cs[k]) for j, k in pairs))
-
-    while True:
+    while not all(len(palette) == len(cs) == len(set(cs)) for cs in colors):
         size, palette = len(palette), {}
         new = []
-        for (src, dst, pos, after, into), cs in zip(comps, colors):
+        for (out_js, out_ks, in_js, in_ks), cs in zip(pairs, colors):
+            high = [c * size for c in cs].__getitem__
+            get = cs.__getitem__
             keys = (
                 (
-                    cs[i],
-                    profile(cs, zip(after[y], after[i])),
-                    profile(cs, ((j, after[j][pos[i]]) for j in into[x])),
+                    c,
+                    tuple(sorted(map(add, map(high, js), map(get, ks)))),
+                    tuple(sorted(map(add, map(high, js_in), map(get, ks_in)))),
                 )
-                for i, (x, y) in enumerate(zip(src, dst))
+                for c, js, ks, js_in, ks_in in zip(cs, out_js, out_ks, in_js, in_ks)
             )
             new.append([palette.setdefault(key, len(palette)) for key in keys])
         colors = new
         if len(palette) == size:
-            return colors
+            break
+    return colors
 
 
 def categories_isomorphic(
@@ -290,6 +311,9 @@ def categories_isomorphic(
 
     Backtracking assigns arrows most-constrained-first, each to an arrow
     of its refined color whose ends fit the identities assigned so far.
+    The colors may stop short of stable once they are discrete, one arrow
+    per side each; the search then has one candidate per arrow and
+    checks every composite, so it, not the coloring, decides.
     Identity is part of the color, and objects follow from identities:
     the one identity x with x·i defined is the identity at the source of
     i, so σx is the identity at the source of σi.  An assignment forces

@@ -5,7 +5,8 @@ package: blocks come from walking literal edge paths, forbidden-factor
 languages from filtering the free monoid, primitivity from iterating the
 substitution itself, category isomorphism from trying every bijection,
 J-classes from the two-sided ideals themselves, composites from trying
-every pair of arrows.
+every pair of arrows, color refinement from tuples of color pairs run to
+stability.
 """
 
 from itertools import permutations, product
@@ -160,3 +161,37 @@ def naive_categories_isomorphic(c, d):
             ):
                 return True
     return False
+
+
+def naive_refine_colors(comps):
+    """Joint color refinement of ``_composition`` lists, run to stability.
+
+    Keys are tuples: the old color, and the sorted color pairs (j, i·j)
+    over the j leaving the target of i and (j, j·i) over the j entering
+    its source.  New colors are numbered by first key seen, side by side.
+    """
+    palette = {}
+    colors = []
+    for src, dst, *_ in comps:
+        keys = ((i == x, x == y) for i, (x, y) in enumerate(zip(src, dst)))
+        colors.append([palette.setdefault(key, len(palette)) for key in keys])
+
+    def profile(cs, pairs):
+        return tuple(sorted((cs[j], cs[k]) for j, k in pairs))
+
+    while True:
+        size, palette = len(palette), {}
+        new = []
+        for (src, dst, pos, after, into), cs in zip(comps, colors):
+            keys = (
+                (
+                    cs[i],
+                    profile(cs, zip(after[y], after[i])),
+                    profile(cs, ((j, after[j][pos[i]]) for j in into[x])),
+                )
+                for i, (x, y) in enumerate(zip(src, dst))
+            )
+            new.append([palette.setdefault(key, len(palette)) for key in keys])
+        colors = new
+        if len(palette) == size:
+            return colors

@@ -3,6 +3,8 @@ import io
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soficlab as sl
 from soficlab import cli, presets
@@ -68,6 +70,19 @@ def test_missing_file_exits_two():
     assert code == 2
     assert out == ""
     assert "missing.shift" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["inspect", "{}"], ["dyck", "{}", "e+"]],
+    ids=["presentation", "bracket-graph"],
+)
+def test_file_that_is_not_utf8_exits_two(tmp_path, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"vertex 1\nedge e 1 1 # \xff\n")
+    code, out, err = run(*(arg.format(path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
 
 
 def test_starfree():
@@ -395,3 +410,50 @@ def test_console_entry_point_declared():
         entries = md.entry_points(group="console_scripts")
         ours = [e for e in entries if e.name == "soficlab"]
         assert ours and ours[0].value == "soficlab.cli:console_main"
+
+
+SYMBOLS = ("a", "b", "c")
+VERTICES = ("1", "2", "3", "4")
+
+
+@st.composite
+def presentation_bytes(draw):
+    """A small presentation file: 1-3 symbols, up to 4 vertices, random
+    edges, and sometimes a garbage line or a byte that is not UTF-8."""
+    symbols = SYMBOLS[: draw(st.integers(1, 3))]
+    vertices = VERTICES[: draw(st.integers(1, 4))]
+    edge = st.tuples(
+        st.sampled_from(vertices), st.sampled_from(symbols), st.sampled_from(vertices)
+    )
+    lines = ["alphabet " + " ".join(symbols)]
+    lines += [f"edge {u} {a} {v}" for u, a, v in draw(st.lists(edge, max_size=10))]
+    garbage = st.sampled_from(
+        ["edge 1 a", "vertex", "alphabet x", "edge 1 z 2", "frob 1", "# edge 1 a 1"]
+    ) | st.text(max_size=8)
+    for line in draw(st.lists(garbage, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentation_bytes())
+def test_cli_fuzz_exits_cleanly_and_repeats_its_output(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.shift"
+    path.write_bytes(data)
+    f = str(path)
+    for argv in (
+        ["inspect", f],
+        ["karoubi", f],
+        ["compare", f, f],
+        ["syntactic", f],
+        ["starfree", f],
+        ["blocks", f, "-n", "3"],
+    ):
+        code, out, err = run(*argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert code == 0 or err != ""
+        assert run(*argv)[1] == out

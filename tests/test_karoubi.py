@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -11,7 +12,11 @@ from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
 from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
 
-from oracles import naive_categories_isomorphic, naive_dump_category
+from oracles import (
+    naive_categories_isomorphic,
+    naive_dump_category,
+    naive_refine_colors,
+)
 
 
 @pytest.fixture
@@ -361,6 +366,8 @@ def test_isomorphism_search_matches_naive_oracle(ra, rb, rc, rd, rng):
     assert naive_categories_isomorphic(c, copy)
     assert sl.categories_isomorphic(c, d) == naive_categories_isomorphic(c, d)
     assert sl.categories_isomorphic(copy, d) == naive_categories_isomorphic(c, d)
+    assert_refinement_matches_oracle(c, copy, isomorphic=True)
+    assert_refinement_matches_oracle(c, d, naive_categories_isomorphic(c, d))
 
 
 def bipartite_category(edges):
@@ -423,9 +430,54 @@ def test_search_forces_composites():
     colors = _refine_colors(comps)
     assert [sorted(set(cs)) for cs in colors] == [[0, 1], [0, 1]]
     assert sorted(colors[0]) == sorted(colors[1])
+    assert_refinement_matches_oracle(abelian, heisenberg, isomorphic=False)
     assert not sl.categories_isomorphic(abelian, heisenberg)
     assert sl.categories_isomorphic(abelian, abelian)
     assert sl.categories_isomorphic(heisenberg, heisenberg)
+
+
+def assert_refinement_matches_oracle(c, d, isomorphic):
+    """``_refine_colors`` gives the oracle's colors, unless it stopped at a
+    discrete coloring of a pair that is not isomorphic: then every one of
+    its classes is a union of the oracle's, and the search still answers
+    as the naive one does."""
+    comps = _composition(c), _composition(d)
+    colors, stable = _refine_colors(comps), naive_refine_colors(comps)
+    n = len(c.arrows)
+    discrete = all(sorted(cs) == list(range(n)) for cs in colors)
+    if isomorphic or not discrete:
+        assert colors == stable
+        return
+    coarser = {}
+    for new, old in zip(chain(*colors), chain(*stable)):
+        assert coarser.setdefault(old, new) == new
+    assert sl.categories_isomorphic(c, d) == naive_categories_isomorphic(c, d)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 39])  # 19 arrows, all distinct; 62; 177
+def test_refinement_matches_oracle_on_relabeled_skeletons(seed):
+    p = sl.random_presentation(seed, 5, Alphabet(("a", "b")), 0.25)
+    sk = sl.envelope_skeleton(sl.syntactic_semigroup(p)[0])
+    assert_refinement_matches_oracle(sk, relabeled(sk, random.Random(seed)), True)
+
+
+def test_refinement_stops_at_a_discrete_coloring():
+    # {1, z} with z z = z against Z2 = {1, u} with u u = 1: the starting
+    # colors, identity and the other arrow, are already discrete, so
+    # refinement stops there, though one more round would split z from
+    # u; the search tells them apart by forcing z z = z onto u u = 1
+    def monoid(square):
+        return sl.FiniteCategory(
+            (0,), ((0, 0, 0), (0, 1, 0)), lambda x, y: square if x and y else x + y
+        )
+
+    band, group = monoid(1), monoid(0)
+    comps = _composition(band), _composition(group)
+    assert _refine_colors(comps) == [[0, 1], [0, 1]]
+    assert naive_refine_colors(comps) == [[0, 1], [2, 3]]
+    assert_refinement_matches_oracle(band, group, isomorphic=False)
+    assert not sl.categories_isomorphic(band, group)
+    assert sl.categories_isomorphic(group, relabeled(group, random.Random(0)))
 
 
 def test_empty_categories_are_isomorphic():
