@@ -18,7 +18,9 @@ checks the one pairing left.  Objects need no map of their own: an
 arrow's ends are the identities it composes with, so assigning an arrow
 assigns those identities, and a candidate must fit the ones already
 assigned.
-``dump_category`` prints the composites from the same lists.
+``dump_category`` prints the composites from the same lists.  Their
+number is counted from the hom-sets before any product is read, and
+past ``DEFAULT_PAIR_CAP`` both refuse with CapExceeded.
 
 Two idempotents are isomorphic in the envelope exactly when they are
 D-related, and D = J in a finite semigroup, so ``envelope_skeleton``
@@ -45,6 +47,8 @@ Arrow = tuple[int, int, int]
 Products = Callable[[Sequence[int], Sequence[int]], Sequence[Sequence[int]]]
 
 DEFAULT_ARROW_CAP = 200_000
+# composable pairs; the most counted on any input so far is 12,294,754
+DEFAULT_PAIR_CAP = 20_000_000
 DEFAULT_SEARCH_BUDGET = 500_000
 
 
@@ -140,7 +144,7 @@ def envelope_skeleton(
     checking the cap per hom-set bounds the work by cap * |S|.
     """
     green = green_j(semigroup)
-    idempotent = semigroup.is_idempotent
+    idempotent = semigroup.idempotent.__getitem__
     objects = sorted(
         min(filter(idempotent, cls))
         for cls, regular in zip(green.classes, green.regular)
@@ -219,6 +223,9 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
     The composites are read a column at a time: the payloads of all
     arrows i entering f are multiplied together by the payload of each
     arrow j leaving f, and each column is indexed in one C-level pass.
+    Their number, the sum over objects f of (arrows into f) x (arrows
+    out of f), is known first: past ``DEFAULT_PAIR_CAP`` it raises
+    CapExceeded before any product is read.
     """
     arrows = category.arrows
     index = {a: i for i, a in enumerate(arrows)}
@@ -231,6 +238,12 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
         pos.append(len(leaving[x]))
         leaving[x].append(j)
         into[y].append(j)
+    pairs = sum(len(entering) * len(out) for entering, out in zip(into, leaving))
+    if pairs > DEFAULT_PAIR_CAP:
+        raise CapExceeded(
+            f"composition table: {pairs} composable pairs,"
+            f" past the cap of {DEFAULT_PAIR_CAP}"
+        )
     products = category.products
     after: list[tuple[int, ...]] = [()] * len(arrows)
     for entering, leaving_y in zip(into, leaving):
@@ -435,8 +448,9 @@ def dump_chunks(category: FiniteCategory) -> Iterator[str]:
         e, s, f = map(name, arrow)
         lines.append(f"arrow {e} {s} {f}")
         tokens.append(f"{e}:{s}:{f}")
-    yield "".join(line + "\n" for line in lines)
+    # the pair cap is checked before any line is written
     _, dst, _, after, _ = _composition(category)
+    yield "".join(line + "\n" for line in lines)
     for i, y in enumerate(dst):
         yield "".join(
             f"compose {tokens[i]} {tokens[j]} = {tokens[k]}\n"

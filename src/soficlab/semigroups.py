@@ -12,9 +12,9 @@ relations give a second construction route for presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, count
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import chain, compress, count
+from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import AlphabetMismatch, CapExceeded, NotIdempotent, ParseError
@@ -61,22 +61,32 @@ def determinize_minimal(
 
     Subset construction started from the full vertex set (a word is a
     block exactly when it can be read from somewhere), empty set as sink,
-    every nonempty subset accepting, then Moore minimization.  Raises
-    CapExceeded if more than ``cap`` subsets become reachable.
+    every nonempty subset accepting, then Moore minimization.  Subsets are
+    int bit masks, and a subset's successor on a symbol is the union of
+    its vertices' successor masks.  Raises CapExceeded if more than
+    ``cap`` subsets become reachable.
     """
     symbols = list(presentation.alphabet)
-    start = frozenset(presentation.vertices)
-    subsets: dict[frozenset[str], int] = {start: 0}
-    order: list[frozenset[str]] = [start]
+    # a subset is an int mask, vertex i its bit 1 << i; successors[k] maps
+    # a vertex's bit to the mask of its successors on the k-th symbol
+    bit = {v: 1 << i for i, v in enumerate(presentation.vertices)}
+    successors = [dict.fromkeys(bit.values(), 0) for _ in symbols]
+    at = {a: k for k, a in enumerate(symbols)}
+    for u, a, w in presentation.edges:
+        successors[at[a]][bit[u]] |= bit[w]
+    start = (1 << len(bit)) - 1
+    subsets: dict[int, int] = {start: 0}
+    order: list[int] = [start]
     table: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(order):
-        current = order[i]
+    for subset in order:
+        members = []  # the bits of subset
+        while subset:
+            low = subset & -subset
+            members.append(low)
+            subset ^= low
         row = []
-        for a in symbols:
-            nxt = frozenset(
-                w for v in current for w in presentation.successors(v, a)
-            )
+        for successor in successors:
+            nxt = reduce(or_, map(successor.__getitem__, members), 0)
             if nxt not in subsets:
                 if len(order) >= cap:
                     raise CapExceeded(f"more than {cap} reachable subsets")
@@ -84,12 +94,11 @@ def determinize_minimal(
                 order.append(nxt)
             row.append(subsets[nxt])
         table.append(tuple(row))
-        i += 1
-    if frozenset() not in subsets:
-        subsets[frozenset()] = len(order)
-        order.append(frozenset())
+    if 0 not in subsets:
+        subsets[0] = len(order)
+        order.append(0)
         table.append(tuple(len(order) - 1 for _ in symbols))
-    sink = subsets[frozenset()]
+    sink = subsets[0]
     accepting = frozenset(i for s, i in subsets.items() if s)
     raw = Dfa(presentation.alphabet, tuple(table), 0, accepting, sink)
     return minimize(raw)
@@ -117,13 +126,12 @@ def minimize(dfa: Dfa) -> Dfa:
     symbol_count = len(dfa.alphabet.symbols)
     cls = [0 if s in dfa.accepting else 1 for s in range(n)]
     while True:
-        signatures = {}
-        new_cls = []
-        for s in range(n):
-            sig = (cls[s], tuple(cls[dfa.transitions[s][a]] for a in range(symbol_count)))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_cls.append(signatures[sig])
+        # a state's signature: its class, then the classes it steps to
+        signatures: dict[tuple[int, ...], int] = {}
+        new_cls = [
+            signatures.setdefault((c, *map(cls.__getitem__, row)), len(signatures))
+            for c, row in zip(cls, dfa.transitions)
+        ]
         if new_cls == cls:
             break
         cls = new_cls
@@ -173,7 +181,10 @@ class FiniteSemigroup:
     Every product is read from these (Froidure & Pin, *Algorithms for
     computing finite semigroups*, 1997): x.j walks j's tree path from x
     through ``right``, and the left Cayley graph ``left[g][x]`` = g.x
-    follows from the tree.  ``table[i][j]``, the whole n x n table, is
+    follows from the tree.  ``idempotent[x]``, whether x.x = x, is
+    computed once, on first read, and every idempotency question reads
+    it: ``is_idempotent``, :func:`idempotents`, the regular J-classes and
+    the skeleton's objects.  ``table[i][j]``, the whole n x n table, is
     filled only on first read, for callers that want every product at
     once; no function in the package reads it.
     """
@@ -308,8 +319,27 @@ class FiniteSemigroup:
             out.append(ys)
         return out
 
+    @cached_property
+    def idempotent(self) -> list[bool]:
+        """``idempotent[x]``: whether x.x = x, on first read.
+
+        x.x is x carried up x's own tree path through the left Cayley
+        graph, x.x = p.(s.x) for x = p.s, so it is walked once per x.
+        """
+        parent = self.parent
+        # steps[j]: left multiplication by the generator that j's word ends with
+        steps = list(map(self.left.__getitem__, self.last))
+        flags = []
+        for x in range(len(parent)):
+            y, j = x, x
+            while j != -1:
+                y = steps[j][y]
+                j = parent[j]
+            flags.append(y == x)
+        return flags
+
     def is_idempotent(self, i: int) -> bool:
-        return self.product(i, i) == i
+        return self.idempotent[i]
 
     def witness_name(self, i: int) -> str:
         return render_word(self.witnesses[i])
@@ -531,7 +561,8 @@ def syntactic_oracle(
 
 
 def idempotents(semigroup: FiniteSemigroup) -> list[int]:
-    return [i for i in range(semigroup.size) if semigroup.is_idempotent(i)]
+    """The idempotents in ascending order."""
+    return list(compress(range(semigroup.size), semigroup.idempotent))
 
 
 @dataclass(frozen=True)
@@ -566,7 +597,8 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
     the set below d.  Classes are numbered by least member.
     """
     n = semigroup.size
-    columns = (*semigroup.right, *semigroup.left)
+    # edges[s]: s.g for each generator g, then g.s
+    edges = list(zip(*semigroup.right, *semigroup.left))
     tick, finished = count(), count()
     num = [-1] * n  # discovery order
     low = [0] * n  # least num reached on the stack; n once s's component is done
@@ -579,14 +611,14 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
             continue
         num[root] = low[root] = next(tick)
         stack.append(root)
-        path = [(root, iter([c[root] for c in columns]))]
+        path = [(root, iter(edges[root]))]
         while path:
-            v, edges = path[-1]
-            for w in edges:
+            v, out = path[-1]
+            for w in out:
                 if num[w] == -1:
                     num[w] = low[w] = next(tick)
                     stack.append(w)
-                    path.append((w, iter([c[w] for c in columns])))
+                    path.append((w, iter(edges[w])))
                     break
                 if low[w] < low[v]:
                     low[v] = low[w]
@@ -616,9 +648,8 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
         if bit == "1" and d != c
     )
     classes = tuple(map(tuple, members.values()))
-    regular = tuple(
-        any(semigroup.is_idempotent(e) for e in cls) for cls in classes
-    )
+    idempotent = semigroup.idempotent.__getitem__
+    regular = tuple(any(map(idempotent, cls)) for cls in classes)
     return GreenJ(classes, below, regular)
 
 

@@ -3,13 +3,15 @@
 Everything here is deliberately naive and shares no technique with the
 package: blocks come from walking literal edge paths, forbidden-factor
 languages from filtering the free monoid, primitivity from iterating the
-substitution itself, category isomorphism from trying every bijection,
-J-classes from the two-sided ideals themselves, composites from trying
-every pair of arrows, color refinement from tuples of color pairs run to
-stability.
+substitution itself, subset automata from frozensets of vertex names,
+category isomorphism from trying every bijection, J-classes from the
+two-sided ideals themselves, composites from trying every pair of arrows,
+color refinement from tuples of color pairs run to stability.
 """
 
 from itertools import permutations, product
+
+from soficlab.semigroups import Dfa
 
 
 def walk_blocks(presentation, max_len):
@@ -39,6 +41,37 @@ def avoiding_words(symbols, forbidden, max_len):
             ):
                 out.add(candidate)
     return out
+
+
+def naive_subset_dfa(presentation):
+    """The subset automaton of the block language, before minimization.
+
+    Subsets of vertex names are frozensets, numbered in breadth-first
+    order from the full vertex set, one symbol at a time in alphabet
+    order; the empty set is the sink, added last when nothing reaches
+    it, and every other subset accepts.
+    """
+    symbols = list(presentation.alphabet)
+    start = frozenset(presentation.vertices)
+    subsets = {start: 0}
+    order = [start]
+    table = []
+    for current in order:
+        row = []
+        for a in symbols:
+            nxt = frozenset(
+                w for v in current for w in presentation.successors(v, a)
+            )
+            if nxt not in subsets:
+                subsets[nxt] = len(order)
+                order.append(nxt)
+            row.append(subsets[nxt])
+        table.append(tuple(row))
+    if frozenset() not in subsets:
+        subsets[frozenset()] = len(order)
+        table.append(tuple(len(order) for _ in symbols))
+    accepting = frozenset(i for s, i in subsets.items() if s)
+    return Dfa(presentation.alphabet, tuple(table), 0, accepting, subsets[frozenset()])
 
 
 def primitive_by_iteration(substitution):

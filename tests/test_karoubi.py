@@ -1,4 +1,5 @@
 import gc
+import io
 import random
 from itertools import chain
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
-from soficlab import karoubi
+from soficlab import cli, karoubi
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
 from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
@@ -124,6 +125,39 @@ def test_envelope_cap_stops_after_one_hom_set(golden, monkeypatch):
         sl.karoubi_envelope(s, cap=1)
     assert len(batches) == 1
     assert "table" not in vars(s)
+
+
+def test_pair_cap_refuses_before_any_product(golden, monkeypatch):
+    # golden's skeleton, hom sizes [[2, 1], [1, 1]]: 3 * 3 pairs through
+    # a and 2 * 2 through bb
+    assert karoubi.DEFAULT_PAIR_CAP > 12_294_754  # the most counted so far
+    s, _ = sl.syntactic_semigroup(golden)
+    sk = sl.envelope_skeleton(s)
+    unlimited = _composition(sk)
+
+    def refuse(xs, ts):
+        raise AssertionError("a product was read")
+
+    category = sl.FiniteCategory(sk.objects, sk.arrows, s.product, s.witness_name, refuse)
+    monkeypatch.setattr(karoubi, "DEFAULT_PAIR_CAP", 12)
+    with pytest.raises(
+        CapExceeded, match=r"^composition table: 13 composable pairs, past the cap of 12$"
+    ):
+        _composition(category)
+    monkeypatch.setattr(karoubi, "DEFAULT_PAIR_CAP", 13)
+    assert _composition(sk) == unlimited
+
+
+def test_pair_cap_stops_compare_and_karoubi_before_any_output(monkeypatch):
+    monkeypatch.setattr(karoubi, "DEFAULT_PAIR_CAP", 12)
+    for argv in (["karoubi", "--builtin", "golden"],
+                 ["compare", "--builtin", "golden", "--builtin", "golden"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv, out=out, err=err) == 3
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            "error: composition table: 13 composable pairs, past the cap of 12\n"
+        )
 
 
 def test_envelope_skeleton_golden(golden):

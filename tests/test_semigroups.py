@@ -5,21 +5,55 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
-from soficlab import semigroups
+from soficlab import flowlab, semigroups
 from soficlab.errors import CapExceeded, NotIdempotent, ParseError
 from soficlab.shift import Alphabet
 
-from oracles import generator_map_isomorphic, naive_green_j
+from oracles import generator_map_isomorphic, naive_green_j, naive_subset_dfa
 
 
 def witnesses(semigroup):
     return [semigroup.witness_name(i) for i in range(semigroup.size)]
 
 
-def test_minimal_dfa_sizes(even, golden, full2):
+def assert_subsets_match_the_oracle(p):
+    assert sl.determinize_minimal(p) == sl.minimize(naive_subset_dfa(p))
+
+
+def test_minimal_dfa_sizes(even, golden, full2, period2):
     assert sl.determinize_minimal(even).size == 4
     assert sl.determinize_minimal(golden).size == 3
     assert sl.determinize_minimal(full2).size == 2
+    for p in (even, golden, full2, period2):
+        assert_subsets_match_the_oracle(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 7),
+    st.sampled_from([0.1, 0.3, 0.5]),
+    st.sampled_from([("a", "b"), ("a", "b", "c")]),
+)
+def test_bit_mask_subsets_match_the_oracle(seed, n_vertices, density, symbols):
+    p = sl.random_presentation(seed, n_vertices, Alphabet(symbols), density)
+    assert_subsets_match_the_oracle(p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(65, 90), st.sampled_from([0.0, 0.001, 0.002]))
+def test_bit_mask_subsets_past_one_machine_word(seed, n_vertices, density):
+    # a labeled cycle of more than 64 vertices, and a few chords: the
+    # masks pass 64 bits, and the subset automaton stays small
+    p = sl.random_presentation(seed, n_vertices, Alphabet(("a", "b")), density)
+    assert_subsets_match_the_oracle(p)
+
+
+def test_subset_cap_names_its_limit(even):
+    reachable = naive_subset_dfa(even).size
+    assert sl.determinize_minimal(even, cap=reachable).size == 4
+    with pytest.raises(CapExceeded, match=rf"^more than {reachable - 1} reachable subsets$"):
+        sl.determinize_minimal(even, cap=reachable - 1)
 
 
 def test_even_semigroup_pinned(even):
@@ -530,11 +564,19 @@ def test_aperiodic_on_a_parsed_table_of_compound_symbols(even, golden):
 # tree paths.  Each must agree with the table.
 
 
+def assert_idempotent_flags_match_the_diagonal(s):
+    diagonal = [s.table[x][x] == x for x in range(s.size)]
+    assert s.idempotent == diagonal
+    assert list(map(s.is_idempotent, range(s.size))) == diagonal
+    # ascending, as the skeleton's objects and the report read them
+    assert sl.idempotents(s) == [x for x, flag in enumerate(diagonal) if flag]
+
+
 def assert_cayley_graphs_match_the_table(s, js=None):
-    left, idempotents = s.left, sl.idempotents(s)
+    left = s.left
     table = s.table
     assert [list(row) for row in left] == [list(table[g]) for g in range(len(s.right))]
-    assert idempotents == [x for x in range(s.size) if table[x][x] == x]
+    assert_idempotent_flags_match_the_diagonal(s)
     js = range(s.size) if js is None else js
     xs = range(s.size)
     assert s.products(xs, js) == [tuple(table[x][j] for x in xs) for j in js]
@@ -571,6 +613,50 @@ def test_cayley_graphs_match_the_table_on_syntactic_semigroups_and_parsed_tables
 def test_cayley_graphs_match_the_table_on_relation_semigroups(ra, rb, rc):
     s, _ = sl.relation_semigroup({"a": ra, "b": rb, "c": rc})
     assert_cayley_graphs_match_the_table(s)
+
+
+def test_idempotent_flags_on_the_presets_and_their_tables(even, golden, full2, period2):
+    for p in (even, golden, full2, period2):
+        s, _ = sl.syntactic_semigroup(p)
+        assert_idempotent_flags_match_the_diagonal(s)
+        assert_idempotent_flags_match_the_diagonal(
+            sl.parse_cayley_table(sl.render_cayley_table(s))
+        )
+    s, _ = sl.syntactic_semigroup(even)
+    assert sl.idempotents(s) == [0, 4, 5, 6]  # a, bb, aba, bab
+    s, _ = sl.syntactic_semigroup(golden)
+    assert sl.idempotents(s) == [0, 2, 3, 4]  # a, ab, ba, bb
+
+
+def test_idempotent_flags_of_the_adjoined_zero(full2, monkeypatch):
+    # a full shift's trivial S gets a zero adjoined before its skeleton
+    seen = []
+
+    def capture(semigroup):
+        seen.append(semigroup)
+        return skeleton_of(semigroup)
+
+    skeleton_of = flowlab.envelope_skeleton
+    monkeypatch.setattr(flowlab, "envelope_skeleton", capture)
+    flowlab._skeleton_of(full2)
+    (s0,) = seen
+    assert s0.size == 2 and s0.zero == 1
+    assert_idempotent_flags_match_the_diagonal(s0)
+    assert sl.idempotents(s0) == [0, 1]
+
+
+def test_idempotent_flags_are_computed_on_first_read_only(golden):
+    # the closure, the star-free test and the table's rendering leave them
+    # unset; the J-classes set them, and the skeleton reads the same list
+    s, _ = sl.syntactic_semigroup(golden)
+    sl.is_aperiodic(s)
+    sl.render_cayley_table(s)
+    assert "idempotent" not in vars(s)
+    sl.green_j(s)
+    flags = vars(s)["idempotent"]
+    sl.envelope_skeleton(s)
+    sl.idempotents(s)
+    assert s.idempotent is flags
 
 
 def test_a_one_state_automaton_has_a_one_element_semigroup():
