@@ -8,16 +8,21 @@ decided structurally: collapse each category to a skeleton (one object
 per isomorphism class), then search for an isomorphism of the skeletons.
 
 The search stores only the pairs of arrows that compose: for each arrow
-x, the index of x y for every arrow y leaving the target of x.  Arrows of
-both categories are colored jointly by refining on those composites,
-then assigned by backtracking, so that two arrows compose exactly when
-their images do.  A refinement round codes each pair of old colors as
-one int and sorts the codes at C level; it stops at a stable coloring,
-or once every arrow's color is its own on each side, where the search
-checks the one pairing left.  Objects need no map of their own: an
-arrow's ends are the identities it composes with, so assigning an arrow
-assigns those identities, and a candidate must fit the ones already
-assigned.
+x, the index of x y for every arrow y leaving the target of x.  It
+assigns arrows by backtracking, so that two arrows compose exactly when
+their images do, in two passes, objects first.  The first places each
+object on one whose hom-set sizes with those placed agree, then each
+arrow i on a free arrow of its image hom-set with as many arrows j with
+i j = i; it is exact when it ends, and it gives up after one attempted
+assignment per arrow.  Only then are the arrows of both categories
+colored jointly by refining on those composites, and the second pass
+assigns each to an arrow of its color.  A refinement round codes each
+pair of old colors as one int and sorts the codes at C level; it stops
+at a stable coloring, or once every arrow's color is its own on each
+side, where the search checks the one pairing left.  Objects need no
+map of their own: an arrow's ends are the identities it composes with,
+so assigning an arrow assigns those identities, and a candidate must
+fit the ones already assigned.
 ``dump_category`` prints the composites from the same lists.  Their
 number is counted from the hom-sets before any product is read, and
 past ``DEFAULT_PAIR_CAP`` both refuse with CapExceeded.
@@ -35,7 +40,8 @@ routes share no hom-set code.  Neither reads the n x n table.
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import defaultdict
+from itertools import compress, repeat
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -322,35 +328,72 @@ def categories_isomorphic(
 ) -> bool:
     """Whether an invertible composition-preserving arrow bijection exists.
 
-    Backtracking assigns arrows most-constrained-first, each to an arrow
-    of its refined color whose ends fit the identities assigned so far.
-    The colors may stop short of stable once they are discrete, one arrow
-    per side each; the search then has one candidate per arrow and
-    checks every composite, so it, not the coloring, decides.
-    Identity is part of the color, and objects follow from identities:
-    the one identity x with x·i defined is the identity at the source of
-    i, so σx is the identity at the source of σi.  An assignment forces
-    the identities at its ends, and for each assigned arrow it composes
-    with, the image of the composite, which must exist.  Raises
-    SearchTimeout when more than ``budget`` assignments are attempted.
+    Two passes run one backtracking search; see ``_search``.  The first
+    places objects first, then each arrow i on a free arrow of its image
+    hom-set with as many arrows j with i·j = i, with no refinement; it
+    gives up after min(n, budget) attempted assignments, n being the
+    number of arrows.  When it ends in time its answer is exact: the
+    search is complete and checks every composite.  Otherwise the arrows
+    are colored by ``_refine_colors``, and the second pass assigns each,
+    most constrained first, to an arrow of its color whose ends fit the
+    identities assigned so far.  The colors may stop short of stable
+    once they are discrete, one arrow per side each; the search then has
+    one candidate per arrow and checks every composite, so it, not the
+    coloring, decides.  Raises SearchTimeout when the second pass
+    attempts more than ``budget`` assignments, so at most
+    min(n, budget) + budget are attempted in all.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
-    comp_a, comp_b = _composition(c), _composition(d)
-    src_a, dst_a, pos_a, after_a, into_a = comp_a
-    src_b, dst_b, pos_b, after_b, _ = comp_b
-    color_a, color_b = _refine_colors((comp_a, comp_b))
-    if sorted(color_a) != sorted(color_b):
+    comps = _composition(c), _composition(d)
+    try:
+        return _search(comps, None, min(len(c.arrows), budget))
+    except SearchTimeout:
+        pass
+    colors = _refine_colors(comps)
+    if sorted(colors[0]) != sorted(colors[1]):
         return False
+    return _search(comps, colors, budget)
 
-    candidates: dict[int, list[int]] = {}
-    for j, col in enumerate(color_b):
-        candidates.setdefault(col, []).append(j)
 
-    n = len(color_a)
+def _search(comps: tuple, colors: list | None, budget: int) -> bool:
+    """Backtracking search for an isomorphism, most constrained first.
+
+    Objects follow from identities: the one identity x with x·i defined
+    is the identity at the source of i, so σx is the identity at the
+    source of σi.  An assignment forces the identities at its ends, and
+    for each assigned arrow it composes with, the image of the
+    composite, which must exist.  A candidate has the arrow's color.
+    Without ``colors`` (the first pass) an arrow's color is the number
+    of arrows j with i·j = i, which any isomorphism keeps; identities
+    are placed first, each on an identity whose hom-set sizes with those
+    placed agree, and then an arrow's candidates are the free arrows of
+    its color in its image hom-set: ``pick`` takes the class with the
+    fewest, read from a count per class, not from a scan of the arrows.
+    With ``colors`` a candidate also fits the identities assigned so
+    far.  Raises SearchTimeout when more than ``budget`` assignments are
+    attempted.
+    """
+    (src_a, dst_a, pos_a, after_a, into_a), (src_b, dst_b, pos_b, after_b, _) = comps
+    n = len(src_a)
+    color_a, color_b = colors or (
+        [after[i].count(i) for i in range(n)] for after in (after_a, after_b)
+    )
     sigma = [-1] * n
     used = [False] * n
     nodes = 0
+    # c's classes of a hom-set and a color, and how many of each one's
+    # arrows are unassigned: as many as the free arrows of its image, once
+    # the objects are placed, if the pair is isomorphic
+    homs_a: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(zip(src_a, dst_a, color_a)):
+        homs_a.setdefault(key, []).append(i)
+    groups = list(homs_a.values())
+    hom_of = [0] * n
+    for g, arrows in enumerate(groups):
+        for i in arrows:
+            hom_of[i] = g
+    left = list(map(len, groups))
 
     def assign(i: int, u: int, trail: list) -> bool:
         queue = [(i, u)]
@@ -364,38 +407,90 @@ def categories_isomorphic(
                 return False
             sigma[i] = u
             used[u] = True
+            left[hom_of[i]] -= 1
             trail.append(i)
             x, y, p, q = src_a[i], dst_a[i], src_b[u], dst_b[u]
             queue += (x, p), (y, q)
-            for j in after_a[y]:  # i·j
+            for j, k in zip(after_a[y], after_a[i]):  # k = i·j
                 v = sigma[j]
                 if v != -1:
                     if src_b[v] != q:
                         return False
-                    queue.append((after_a[i][pos_a[j]], after_b[u][pos_b[v]]))
+                    w = after_b[u][pos_b[v]]
+                    if sigma[k] == -1:
+                        queue.append((k, w))
+                    elif sigma[k] != w:
+                        return False
             for j in into_a[x]:  # j·i
                 v = sigma[j]
                 if v != -1:
                     if dst_b[v] != p:
                         return False
-                    queue.append((after_a[j][pos_a[i]], after_b[v][pos_b[u]]))
+                    k, w = after_a[j][pos_a[i]], after_b[v][pos_b[u]]
+                    if sigma[k] == -1:
+                        queue.append((k, w))
+                    elif sigma[k] != w:
+                        return False
         return True
 
-    def pick() -> tuple[int, list[int]] | None:
-        """An unassigned arrow with the fewest candidates that fit, and those."""
-        best = None
-        for i in (i for i in range(n) if sigma[i] == -1):
-            x, y = sigma[src_a[i]], sigma[dst_a[i]]
-            fits = [
-                u
-                for u in candidates[color_a[i]]
-                if not used[u] and (x < 0 or x == src_b[u]) and (y < 0 or y == dst_b[u])
-            ]
-            if best is None or len(fits) < len(best[1]):
-                best = i, fits
-                if len(fits) <= 1:
-                    break
-        return best
+    if colors:
+        candidates: dict[int, list[int]] = {}
+        for j, col in enumerate(color_b):
+            candidates.setdefault(col, []).append(j)
+
+        def pick() -> tuple[int, list[int]] | None:
+            """An unassigned arrow with the fewest candidates that fit, and those."""
+            best = None
+            for i in compress(range(n), map((-1).__eq__, sigma)):
+                x, y = sigma[src_a[i]], sigma[dst_a[i]]
+                fits = [
+                    u
+                    for u in candidates[color_a[i]]
+                    if not used[u]
+                    and (x < 0 or x == src_b[u])
+                    and (y < 0 or y == dst_b[u])
+                ]
+                if best is None or len(fits) < len(best[1]):
+                    best = i, fits
+                    if len(fits) <= 1:
+                        break
+            return best
+
+    else:
+        homs_b: dict[tuple[int, int, int], list[int]] = {}
+        for u, key in enumerate(zip(src_b, dst_b, color_b)):
+            homs_b.setdefault(key, []).append(u)
+        ids_a = [i for i in range(n) if src_a[i] == i]
+        ids_b = [u for u in range(n) if src_b[u] == u]
+        size_a: defaultdict[tuple[int, int], int] = defaultdict(int)
+        size_b: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for sizes, homs in ((size_a, homs_a), (size_b, homs_b)):
+            for (x, y, _), arrows in homs.items():
+                sizes[x, y] += len(arrows)
+
+        def pick() -> tuple[int, list[int]] | None:
+            """The next identity and those it may go to; once all are
+            placed, an arrow of the class with the fewest unassigned
+            arrows, and the free arrows of its image."""
+            for x in ids_a:
+                if sigma[x] == -1:
+                    ends = [(y, sigma[y]) for y in ids_a if sigma[y] != -1]
+                    return x, [
+                        p
+                        for p in ids_b
+                        if not used[p]
+                        and all(
+                            size_b[p, q] == size_a[x, y]
+                            and size_b[q, p] == size_a[y, x]
+                            for y, q in ends + [(x, p)]
+                        )
+                    ]
+            count, g = min(((k, g) for g, k in enumerate(left) if k), default=(0, -1))
+            if not count:
+                return None
+            i = next(i for i in groups[g] if sigma[i] == -1)
+            image = homs_b.get((sigma[src_a[i]], sigma[dst_a[i]], color_a[i]), ())
+            return i, [u for u in image if not used[u]]
 
     def search() -> bool:
         nonlocal nodes
@@ -413,6 +508,7 @@ def categories_isomorphic(
             for j in reversed(trail):
                 used[sigma[j]] = False
                 sigma[j] = -1
+                left[hom_of[j]] += 1
         return False
 
     try:

@@ -6,7 +6,11 @@ languages from filtering the free monoid, primitivity from iterating the
 substitution itself, subset automata from frozensets of vertex names,
 category isomorphism from trying every bijection, J-classes from the
 two-sided ideals themselves, composites from trying every pair of arrows,
-color refinement from tuples of color pairs run to stability.
+color refinement from tuples of color pairs run to stability.  One
+exception: ``refined_categories_isomorphic`` is a copy of the package's
+former isomorphism test, refinement to stability and then a search by
+refined color, which the package now runs only when its objects-first
+pass gives up.
 """
 
 from itertools import permutations, product
@@ -228,3 +232,113 @@ def naive_refine_colors(comps):
         colors = new
         if len(palette) == size:
             return colors
+
+
+def naive_composition(category):
+    """``_composition`` lists by composing every consecutive pair of arrows.
+
+    Per arrow i: the identities at its ends, its place among the arrows
+    leaving its source, i·j for each j leaving its target in arrow order,
+    and, for an identity, the arrows entering it.
+    """
+    arrows = list(category.arrows)
+    index = {a: i for i, a in enumerate(arrows)}
+    src = [index[(e, e, e)] for e, _, _ in arrows]
+    dst = [index[(f, f, f)] for _, _, f in arrows]
+    leaving = [[j for j in range(len(arrows)) if src[j] == i] for i in range(len(arrows))]
+    pos = [leaving[src[j]].index(j) for j in range(len(arrows))]
+    after = [
+        tuple(index[category.compose(x, arrows[j])] for j in leaving[dst[i]])
+        for i, x in enumerate(arrows)
+    ]
+    into = [[j for j in range(len(arrows)) if dst[j] == i] for i in range(len(arrows))]
+    return src, dst, pos, after, into
+
+
+def refined_categories_isomorphic(c, d, budget=500_000):
+    """Is there an isomorphism of finite categories ``c`` and ``d``?
+
+    Colors both arrow sets by ``naive_refine_colors`` to stability, then
+    backtracks most constrained arrow first: each onto an arrow of its
+    color whose ends fit the identities assigned so far, forcing the
+    identities at its ends and the images of its composites with the
+    arrows already assigned.  Raises AssertionError past ``budget``
+    assignments.
+    """
+    if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
+        return False
+    comp_a, comp_b = naive_composition(c), naive_composition(d)
+    src_a, dst_a, pos_a, after_a, into_a = comp_a
+    src_b, dst_b, pos_b, after_b, _ = comp_b
+    color_a, color_b = naive_refine_colors((comp_a, comp_b))
+    if sorted(color_a) != sorted(color_b):
+        return False
+    candidates = {}
+    for j, col in enumerate(color_b):
+        candidates.setdefault(col, []).append(j)
+    n = len(color_a)
+    sigma = [-1] * n
+    used = [False] * n
+    nodes = [0]
+
+    def assign(i, u, trail):
+        queue = [(i, u)]
+        while queue:
+            i, u = queue.pop()
+            if sigma[i] != -1:
+                if sigma[i] != u:
+                    return False
+                continue
+            if used[u] or color_a[i] != color_b[u]:
+                return False
+            sigma[i] = u
+            used[u] = True
+            trail.append(i)
+            x, y, p, q = src_a[i], dst_a[i], src_b[u], dst_b[u]
+            queue += (x, p), (y, q)
+            for j in after_a[y]:  # i·j
+                v = sigma[j]
+                if v != -1:
+                    if src_b[v] != q:
+                        return False
+                    queue.append((after_a[i][pos_a[j]], after_b[u][pos_b[v]]))
+            for j in into_a[x]:  # j·i
+                v = sigma[j]
+                if v != -1:
+                    if dst_b[v] != p:
+                        return False
+                    queue.append((after_a[j][pos_a[i]], after_b[v][pos_b[u]]))
+        return True
+
+    def pick():
+        best = None
+        for i in (i for i in range(n) if sigma[i] == -1):
+            x, y = sigma[src_a[i]], sigma[dst_a[i]]
+            fits = [
+                u
+                for u in candidates[color_a[i]]
+                if not used[u] and (x < 0 or x == src_b[u]) and (y < 0 or y == dst_b[u])
+            ]
+            if best is None or len(fits) < len(best[1]):
+                best = i, fits
+                if len(fits) <= 1:
+                    break
+        return best
+
+    def search():
+        best = pick()
+        if best is None:
+            return True
+        i, fits = best
+        for u in fits:
+            nodes[0] += 1
+            assert nodes[0] <= budget, f"search passed {budget} nodes"
+            trail = []
+            if assign(i, u, trail) and search():
+                return True
+            for j in reversed(trail):
+                used[sigma[j]] = False
+                sigma[j] = -1
+        return False
+
+    return search()

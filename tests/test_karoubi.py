@@ -8,7 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import soficlab as sl
-from soficlab import cli, karoubi
+from soficlab import cli, flowlab, karoubi
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
 from soficlab.karoubi import _composition, _refine_colors
 from soficlab.shift import Alphabet
@@ -17,6 +17,7 @@ from oracles import (
     naive_categories_isomorphic,
     naive_dump_category,
     naive_refine_colors,
+    refined_categories_isomorphic,
 )
 
 
@@ -420,19 +421,25 @@ def bipartite_category(edges):
     )
 
 
-def test_search_fits_candidates_to_assigned_identities():
-    # Two 4-cycles against one 8-cycle, sources 0-3 and targets 4-7.
-    # Every arrow of each kind gets the same refined color in both, so
-    # only the search tells the categories apart.  It takes 28 nodes
-    # when each assignment forces the identities at its ends and a
-    # candidate must fit those already assigned; without the forcing it
-    # took 3212, without the fit 8960.
+def two_squares_and_octagon():
+    """Two 4-cycles and one 8-cycle, sources 0-3 and targets 4-7."""
     two_squares = bipartite_category(
         [(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)]
     )
     octagon = bipartite_category(
         [(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4)]
     )
+    return two_squares, octagon
+
+
+def test_search_fits_candidates_to_assigned_identities():
+    # Every arrow of each kind gets the same refined color in both, so
+    # only the search tells the categories apart.  Placing objects first
+    # would take 208 nodes, so the first pass gives up after 16, one per
+    # arrow; the second takes 28 nodes when each assignment forces the
+    # identities at its ends and a candidate must fit those already
+    # assigned; without the forcing it took 3212, without the fit 8960.
+    two_squares, octagon = two_squares_and_octagon()
     assert not naive_categories_isomorphic(two_squares, octagon)
     assert not sl.categories_isomorphic(two_squares, octagon, budget=28)
     assert sl.categories_isomorphic(octagon, relabeled(octagon, random.Random(0)))
@@ -450,16 +457,21 @@ def one_object_group(mul):
     return sl.FiniteCategory((0,), tuple((0, x, 0) for x in range(27)), encoded)
 
 
+def z3_cubed_and_heisenberg():
+    abelian = one_object_group(lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+    heisenberg = one_object_group(
+        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
+    )
+    return abelian, heisenberg
+
+
 def test_search_forces_composites():
     # Z3^3 against the Heisenberg group mod 3: both have exponent 3, so
     # color refinement gives each the same two colors, identity and the
     # rest, and only forcing the images of composites tells them apart.
     # Dropping both forcing loops of the search accepts this pair;
     # dropping either one alone still rejects it.
-    abelian = one_object_group(lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]))
-    heisenberg = one_object_group(
-        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2] + x[0] * y[1])
-    )
+    abelian, heisenberg = z3_cubed_and_heisenberg()
     comps = _composition(abelian), _composition(heisenberg)
     colors = _refine_colors(comps)
     assert [sorted(set(cs)) for cs in colors] == [[0, 1], [0, 1]]
@@ -495,23 +507,100 @@ def test_refinement_matches_oracle_on_relabeled_skeletons(seed):
     assert_refinement_matches_oracle(sk, relabeled(sk, random.Random(seed)), True)
 
 
-def test_refinement_stops_at_a_discrete_coloring():
-    # {1, z} with z z = z against Z2 = {1, u} with u u = 1: the starting
-    # colors, identity and the other arrow, are already discrete, so
-    # refinement stops there, though one more round would split z from
-    # u; the search tells them apart by forcing z z = z onto u u = 1
+def band_and_z2():
+    """{1, z} with z z = z and Z2 = {1, u} with u u = 1, as one-object
+    categories."""
+
     def monoid(square):
         return sl.FiniteCategory(
             (0,), ((0, 0, 0), (0, 1, 0)), lambda x, y: square if x and y else x + y
         )
 
-    band, group = monoid(1), monoid(0)
+    return monoid(1), monoid(0)
+
+
+def test_refinement_stops_at_a_discrete_coloring():
+    # band against Z2: the starting colors, identity and the other arrow,
+    # are already discrete, so refinement stops there, though one more
+    # round would split z from u; the search tells them apart by forcing
+    # z z = z onto u u = 1
+    band, group = band_and_z2()
     comps = _composition(band), _composition(group)
     assert _refine_colors(comps) == [[0, 1], [0, 1]]
     assert naive_refine_colors(comps) == [[0, 1], [2, 3]]
     assert_refinement_matches_oracle(band, group, isomorphic=False)
     assert not sl.categories_isomorphic(band, group)
     assert sl.categories_isomorphic(group, relabeled(group, random.Random(0)))
+
+
+def test_two_passes_match_the_refined_oracle(golden, even):
+    # flow moves of random inputs, up to 293 arrows; unrelated pairs of
+    # one shape; and the pinned pairs, whichever pass decides them
+    ab = Alphabet(("a", "b"))
+    inputs = [(s, 2 + s % 5, 0.3) for s in range(30)]
+    inputs += [(224, 6, 0.25), (39, 5, 0.25), (3357, 5, 0.25)]
+    pairs = []
+    by_shape: dict = {}
+    for seed, vertices, density in inputs:
+        p = sl.random_presentation(seed, vertices, ab, density)
+        sk = flowlab._skeleton_of(p)
+        for q in (sl.symbol_expansion(p, "a"), sl.higher_block(p, 2)):
+            pairs.append((sk, flowlab._skeleton_of(q)))
+        by_shape.setdefault((len(sk.objects), len(sk.arrows)), []).append(sk)
+    for same in by_shape.values():
+        pairs += [(c, d) for k, c in enumerate(same[:8]) for d in same[k + 1 : 8]]
+    # such pairs are rarely not isomorphic: three that are not
+    for left, right in (
+        ((22, 5, 0.25), (115, 5, 0.25)),  # 3 objects, 23 arrows
+        ((86, 3, 0.3), (228, 4, 0.25)),  # 3 objects, 28 arrows
+        ((2, 6, 0.25), (187, 4, 0.3)),  # 4 objects, 63 arrows
+    ):
+        pairs.append(tuple(
+            flowlab._skeleton_of(sl.random_presentation(seed, vertices, ab, density))
+            for seed, vertices, density in (left, right)
+        ))
+    pairs += [
+        (flowlab._skeleton_of(golden), flowlab._skeleton_of(even)),
+        two_squares_and_octagon(),
+        z3_cubed_and_heisenberg(),
+        band_and_z2(),
+    ]
+    answers = []
+    for c, d in pairs:
+        answers.append(sl.categories_isomorphic(c, d))
+        assert answers[-1] == refined_categories_isomorphic(c, d)
+    assert answers.count(False) >= 7
+    assert max(len(c.arrows) for c, _ in pairs) == 293
+
+
+def test_first_pass_decides_without_refinement(monkeypatch):
+    def refuse(comps):
+        raise AssertionError("refined")
+
+    monkeypatch.setattr(karoubi, "_refine_colors", refuse)
+    p = sl.random_presentation(3357, 5, Alphabet(("a", "b")), 0.25)
+    sk = flowlab._skeleton_of(p)
+    assert len(sk.arrows) == 293
+    assert sl.categories_isomorphic(sk, flowlab._skeleton_of(sl.higher_block(p, 2)))
+    # z z = z is forced onto u u = 1, an identity already placed
+    assert not sl.categories_isomorphic(*band_and_z2())
+
+
+def test_first_pass_falls_back_to_refinement(monkeypatch):
+    refined = []
+
+    def counted(comps):
+        refined.append(len(comps[0][0]))
+        return refine(comps)
+
+    refine = karoubi._refine_colors
+    monkeypatch.setattr(karoubi, "_refine_colors", counted)
+    assert not sl.categories_isomorphic(*two_squares_and_octagon())
+    assert refined == [16]
+    # the first pass gives up after 16 nodes, one per arrow, and the
+    # second needs 28 of its own
+    with pytest.raises(SearchTimeout):
+        sl.categories_isomorphic(*two_squares_and_octagon(), budget=27)
 
 
 def test_empty_categories_are_isomorphic():

@@ -365,17 +365,26 @@ def test_relation_closure_is_associative_and_zero_absorbs(gens):
 # check each product against the generator maps themselves instead.
 
 
-def assert_table_matches(semigroup, value_of):
+def assert_table_matches(semigroup, value_of, times):
     """Check every table[a][b] against the value of witness(a) + witness(b).
 
     ``value_of`` maps a word to its value through the generator maps
-    alone; elements are told apart by the values of their witnesses.
+    alone, once per witness, and ``times(v)`` maps the value of a word w
+    to that of w followed by a word of value v; elements are told apart
+    by the values of their witnesses.
     """
-    element_of = {value_of(w): i for i, w in enumerate(semigroup.witnesses)}
+    values = [value_of(w) for w in semigroup.witnesses]
+    element_of = {v: i for i, v in enumerate(values)}
     assert len(element_of) == semigroup.size
-    for a, wa in enumerate(semigroup.witnesses):
-        for b, wb in enumerate(semigroup.witnesses):
-            assert semigroup.table[a][b] == element_of[value_of(wa + wb)]
+    table = semigroup.table
+    for b, vb in enumerate(values):
+        expected = map(element_of.__getitem__, map(times(vb), values))
+        assert [row[b] for row in table] == list(expected), f"column {b}"
+
+
+def after_map(g):
+    """Maps f to f followed by g, for maps given as tuples of images."""
+    return lambda f: tuple(map(g.__getitem__, f))
 
 
 def naive_render(semigroup):
@@ -410,7 +419,7 @@ def test_transition_table_matches_state_maps(seed, n_vertices, density):
             states = [dfa.transitions[q][column[a]] for q in states]
         return tuple(states)
 
-    assert_table_matches(s, state_map)
+    assert_table_matches(s, state_map, after_map)
     assert naive_render(s) == sl.render_cayley_table(s)
 
 
@@ -429,15 +438,35 @@ def test_relation_table_matches_composed_relations(ra, rb, rc, same):
     if same is not None:  # two letters with one relation
         gens[same[0]] = gens[same[1]]
     s, _ = sl.relation_semigroup(gens)
-
-    def relation(word):
-        rel = set(gens[word[0]])
-        for letter in word[1:]:
-            rel = {(x, z) for x, y in rel for y2, z in gens[letter] if y == y2}
-        return frozenset(rel)
-
-    assert_table_matches(s, relation)
+    assert_table_matches(s, successor_masks(gens), after_relation)
     assert naive_render(s) == sl.render_cayley_table(s)
+
+
+def successor_masks(gens):
+    """The value of a word: per point 0-3, the bit mask of the points the
+    composed relations take it to."""
+    masks = {
+        letter: tuple(sum(1 << y for x2, y in rel if x2 == x) for x in range(4))
+        for letter, rel in gens.items()
+    }
+    steps = {letter: after_relation(m) for letter, m in masks.items()}
+
+    def value(word):
+        out = masks[word[0]]
+        for letter in word[1:]:
+            out = steps[letter](out)
+        return out
+
+    return value
+
+
+def after_relation(s):
+    """Maps r to r followed by s, for relations as successor bit masks."""
+    union = [0] * 16  # union[m]: the successors under s of the points in m
+    for m in range(1, 16):
+        low = m & -m
+        union[m] = union[m ^ low] | s[low.bit_length() - 1]
+    return after_map(union)
 
 
 def test_one_element_semigroup(full2):
