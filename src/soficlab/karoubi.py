@@ -10,19 +10,15 @@ per isomorphism class), then search for an isomorphism of the skeletons.
 The search stores only the pairs of arrows that compose: for each arrow
 x, the index of x y for every arrow y leaving the target of x.  It
 assigns arrows by backtracking, so that two arrows compose exactly when
-their images do, in two passes, objects first.  The first places each
+their images do.  An arrow i is colored by its number of arrows j with
+i j = i, and goes to an arrow of its color.  The first pass places each
 object on one whose hom-set sizes with those placed agree, then each
-arrow i on a free arrow of its image hom-set with as many arrows j with
-i j = i; it is exact when it ends, and it gives up after one attempted
-assignment per arrow.  Only then are the arrows of both categories
-colored jointly by refining on those composites, and the second pass
-assigns each to an arrow of its color.  A refinement round codes each
-pair of old colors as one int and sorts the codes at C level; it stops
-at a stable coloring, or once every arrow's color is its own on each
-side, where the search checks the one pairing left.  Objects need no
-map of their own: an arrow's ends are the identities it composes with,
-so assigning an arrow assigns those identities, and a candidate must
-fit the ones already assigned.
+arrow on a free arrow of its image hom-set; it is exact when it ends,
+and it gives up after one attempted assignment per arrow.  Only then
+does the second pass assign arrow by arrow, with the same colors.
+Objects need no map of their own: an arrow's ends are the identities it
+composes with, so assigning an arrow assigns those identities, and a
+candidate must fit the ones already assigned.
 ``dump_category`` prints the composites from the same lists.  Their
 number is counted from the hom-sets before any product is read, and
 past ``DEFAULT_PAIR_CAP`` both refuse with CapExceeded.
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import compress, repeat
-from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded, SearchTimeout, UnknownObject
@@ -267,59 +262,6 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
     return src, dst, pos, after, into
 
 
-def _refine_colors(comps: tuple) -> list[list[int]]:
-    """Joint color refinement of both arrow sets by composition profiles.
-
-    An arrow starts colored by (identity, endomorphism); each round adds
-    the sorted colors of (j, i·j) over the j leaving its target and of
-    (j, j·i) over the j entering its source.  A key holds the old color,
-    so the partition only splits, and it is stable once the joint
-    palette stops growing.
-
-    Both pair lists of every arrow are built once; a round codes a pair
-    of old colors (c, d) as c * size + d, size being the old palette's,
-    so sorting the codes sorts the pairs, and the palette is numbered as
-    with the pairs themselves.  Refinement stops early once the palette
-    has n colors and each side's n arrows have distinct ones: a class
-    then holds one arrow per side, no round can split it within a side,
-    and the search checks such a pairing in at most n nodes.
-    """
-    palette: dict[tuple, int] = {}
-    colors = []
-    pairs = []
-    for src, dst, pos, after, into in comps:
-        keys = ((i == x, x == y) for i, (x, y) in enumerate(zip(src, dst)))
-        colors.append([palette.setdefault(key, len(palette)) for key in keys])
-        # per arrow i: the j leaving its target and i·j; those entering its
-        # source and j·i
-        pairs.append((
-            [after[y] for y in dst],
-            after,
-            [into[x] for x in src],
-            [[after[j][p] for j in into[x]] for x, p in zip(src, pos)],
-        ))
-
-    while not all(len(palette) == len(cs) == len(set(cs)) for cs in colors):
-        size, palette = len(palette), {}
-        new = []
-        for (out_js, out_ks, in_js, in_ks), cs in zip(pairs, colors):
-            high = [c * size for c in cs].__getitem__
-            get = cs.__getitem__
-            keys = (
-                (
-                    c,
-                    tuple(sorted(map(add, map(high, js), map(get, ks)))),
-                    tuple(sorted(map(add, map(high, js_in), map(get, ks_in)))),
-                )
-                for c, js, ks, js_in, ks_in in zip(cs, out_js, out_ks, in_js, in_ks)
-            )
-            new.append([palette.setdefault(key, len(palette)) for key in keys])
-        colors = new
-        if len(palette) == size:
-            break
-    return colors
-
-
 def categories_isomorphic(
     c: FiniteCategory,
     d: FiniteCategory,
@@ -328,35 +270,36 @@ def categories_isomorphic(
 ) -> bool:
     """Whether an invertible composition-preserving arrow bijection exists.
 
-    Two passes run one backtracking search; see ``_search``.  The first
-    places objects first, then each arrow i on a free arrow of its image
-    hom-set with as many arrows j with i·j = i, with no refinement; it
-    gives up after min(n, budget) attempted assignments, n being the
-    number of arrows.  When it ends in time its answer is exact: the
-    search is complete and checks every composite.  Otherwise the arrows
-    are colored by ``_refine_colors``, and the second pass assigns each,
-    most constrained first, to an arrow of its color whose ends fit the
-    identities assigned so far.  The colors may stop short of stable
-    once they are discrete, one arrow per side each; the search then has
-    one candidate per arrow and checks every composite, so it, not the
-    coloring, decides.  Raises SearchTimeout when the second pass
-    attempts more than ``budget`` assignments, so at most
-    min(n, budget) + budget are attempted in all.
+    Each arrow i is colored by its number of right stabilizers, the
+    arrows j with i·j = i, which any isomorphism keeps; if the two sides'
+    colors differ as multisets, the answer is False.  Otherwise two
+    passes of one backtracking search follow; see ``_search``.  The
+    first places objects first, then each arrow on a free arrow of its
+    color in its image hom-set; it gives up after min(n, budget)
+    attempted assignments, n being the number of arrows.  Then the
+    second pass assigns each arrow, most constrained first, to an arrow
+    of its color whose ends fit the identities assigned so far.  Either
+    answer is exact: the search is complete and checks every composite.
+    Raises SearchTimeout when the second pass attempts more than
+    ``budget`` assignments, so at most min(n, budget) + budget are
+    attempted in all.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
     comps = _composition(c), _composition(d)
-    try:
-        return _search(comps, None, min(len(c.arrows), budget))
-    except SearchTimeout:
-        pass
-    colors = _refine_colors(comps)
+    colors = [
+        [after[i].count(i) for i in range(len(after))] for *_, after, _ in comps
+    ]
     if sorted(colors[0]) != sorted(colors[1]):
         return False
-    return _search(comps, colors, budget)
+    try:
+        return _search(comps, colors, True, min(len(c.arrows), budget))
+    except SearchTimeout:
+        pass
+    return _search(comps, colors, False, budget)
 
 
-def _search(comps: tuple, colors: list | None, budget: int) -> bool:
+def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> bool:
     """Backtracking search for an isomorphism, most constrained first.
 
     Objects follow from identities: the one identity x with x·i defined
@@ -364,21 +307,18 @@ def _search(comps: tuple, colors: list | None, budget: int) -> bool:
     source of σi.  An assignment forces the identities at its ends, and
     for each assigned arrow it composes with, the image of the
     composite, which must exist.  A candidate has the arrow's color.
-    Without ``colors`` (the first pass) an arrow's color is the number
-    of arrows j with i·j = i, which any isomorphism keeps; identities
-    are placed first, each on an identity whose hom-set sizes with those
-    placed agree, and then an arrow's candidates are the free arrows of
-    its color in its image hom-set: ``pick`` takes the class with the
-    fewest, read from a count per class, not from a scan of the arrows.
-    With ``colors`` a candidate also fits the identities assigned so
-    far.  Raises SearchTimeout when more than ``budget`` assignments are
-    attempted.
+    With ``objects_first`` identities are placed first, each on an
+    identity whose hom-set sizes with those placed agree, and then an
+    arrow's candidates are the free arrows of its color in its image
+    hom-set: ``pick`` takes the class with the fewest, read from a count
+    per class, not from a scan of the arrows.  Otherwise ``pick`` scans
+    the unassigned arrows for the one with the fewest candidates of its
+    color that fit the identities assigned so far.  Raises SearchTimeout
+    when more than ``budget`` assignments are attempted.
     """
     (src_a, dst_a, pos_a, after_a, into_a), (src_b, dst_b, pos_b, after_b, _) = comps
     n = len(src_a)
-    color_a, color_b = colors or (
-        [after[i].count(i) for i in range(n)] for after in (after_a, after_b)
-    )
+    color_a, color_b = colors
     sigma = [-1] * n
     used = [False] * n
     nodes = 0
@@ -433,30 +373,7 @@ def _search(comps: tuple, colors: list | None, budget: int) -> bool:
                         return False
         return True
 
-    if colors:
-        candidates: dict[int, list[int]] = {}
-        for j, col in enumerate(color_b):
-            candidates.setdefault(col, []).append(j)
-
-        def pick() -> tuple[int, list[int]] | None:
-            """An unassigned arrow with the fewest candidates that fit, and those."""
-            best = None
-            for i in compress(range(n), map((-1).__eq__, sigma)):
-                x, y = sigma[src_a[i]], sigma[dst_a[i]]
-                fits = [
-                    u
-                    for u in candidates[color_a[i]]
-                    if not used[u]
-                    and (x < 0 or x == src_b[u])
-                    and (y < 0 or y == dst_b[u])
-                ]
-                if best is None or len(fits) < len(best[1]):
-                    best = i, fits
-                    if len(fits) <= 1:
-                        break
-            return best
-
-    else:
+    if objects_first:
         homs_b: dict[tuple[int, int, int], list[int]] = {}
         for u, key in enumerate(zip(src_b, dst_b, color_b)):
             homs_b.setdefault(key, []).append(u)
@@ -491,6 +408,29 @@ def _search(comps: tuple, colors: list | None, budget: int) -> bool:
             i = next(i for i in groups[g] if sigma[i] == -1)
             image = homs_b.get((sigma[src_a[i]], sigma[dst_a[i]], color_a[i]), ())
             return i, [u for u in image if not used[u]]
+
+    else:
+        candidates: dict[int, list[int]] = {}
+        for j, col in enumerate(color_b):
+            candidates.setdefault(col, []).append(j)
+
+        def pick() -> tuple[int, list[int]] | None:
+            """An unassigned arrow with the fewest candidates that fit, and those."""
+            best = None
+            for i in compress(range(n), map((-1).__eq__, sigma)):
+                x, y = sigma[src_a[i]], sigma[dst_a[i]]
+                fits = [
+                    u
+                    for u in candidates[color_a[i]]
+                    if not used[u]
+                    and (x < 0 or x == src_b[u])
+                    and (y < 0 or y == dst_b[u])
+                ]
+                if best is None or len(fits) < len(best[1]):
+                    best = i, fits
+                    if len(fits) <= 1:
+                        break
+            return best
 
     def search() -> bool:
         nonlocal nodes

@@ -9,8 +9,8 @@ two-sided ideals themselves, composites from trying every pair of arrows,
 color refinement from tuples of color pairs run to stability.  One
 exception: ``refined_categories_isomorphic`` is a copy of the package's
 former isomorphism test, refinement to stability and then a search by
-refined color, which the package now runs only when its objects-first
-pass gives up.
+refined color; the package no longer refines, and colors each arrow by
+its right stabilizers alone.
 """
 
 from itertools import permutations, product

@@ -1,7 +1,6 @@
 import gc
 import io
 import random
-from itertools import chain
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -10,13 +9,12 @@ from hypothesis import strategies as st
 import soficlab as sl
 from soficlab import cli, flowlab, karoubi
 from soficlab.errors import CapExceeded, SearchTimeout, UnknownObject
-from soficlab.karoubi import _composition, _refine_colors
+from soficlab.karoubi import _composition
 from soficlab.shift import Alphabet
 
 from oracles import (
     naive_categories_isomorphic,
     naive_dump_category,
-    naive_refine_colors,
     refined_categories_isomorphic,
 )
 
@@ -401,8 +399,6 @@ def test_isomorphism_search_matches_naive_oracle(ra, rb, rc, rd, rng):
     assert naive_categories_isomorphic(c, copy)
     assert sl.categories_isomorphic(c, d) == naive_categories_isomorphic(c, d)
     assert sl.categories_isomorphic(copy, d) == naive_categories_isomorphic(c, d)
-    assert_refinement_matches_oracle(c, copy, isomorphic=True)
-    assert_refinement_matches_oracle(c, d, naive_categories_isomorphic(c, d))
 
 
 def bipartite_category(edges):
@@ -433,15 +429,16 @@ def two_squares_and_octagon():
 
 
 def test_search_fits_candidates_to_assigned_identities():
-    # Every arrow of each kind gets the same refined color in both, so
-    # only the search tells the categories apart.  Placing objects first
-    # would take 208 nodes, so the first pass gives up after 16, one per
-    # arrow; the second takes 28 nodes when each assignment forces the
-    # identities at its ends and a candidate must fit those already
-    # assigned; without the forcing it took 3212, without the fit 8960.
+    # Every arrow in both has one right stabilizer, the identity at its
+    # target, so only the search tells the categories apart.  Placing
+    # objects first would take 208 nodes, so the first pass gives up
+    # after 16, one per arrow; the second takes 40 nodes when each
+    # assignment forces the identities at its ends and a candidate must
+    # fit those already assigned; without the forcing it took 4936,
+    # without the fit 1033448.
     two_squares, octagon = two_squares_and_octagon()
     assert not naive_categories_isomorphic(two_squares, octagon)
-    assert not sl.categories_isomorphic(two_squares, octagon, budget=28)
+    assert not sl.categories_isomorphic(two_squares, octagon, budget=40)
     assert sl.categories_isomorphic(octagon, relabeled(octagon, random.Random(0)))
 
 
@@ -465,46 +462,65 @@ def z3_cubed_and_heisenberg():
     return abelian, heisenberg
 
 
+def stabilizer_counts(category):
+    """The search's colors, sorted: per arrow i, the arrows j with i·j = i."""
+    after = _composition(category)[3]
+    return sorted(after[i].count(i) for i in range(len(after)))
+
+
 def test_search_forces_composites():
-    # Z3^3 against the Heisenberg group mod 3: both have exponent 3, so
-    # color refinement gives each the same two colors, identity and the
-    # rest, and only forcing the images of composites tells them apart.
-    # Dropping both forcing loops of the search accepts this pair;
-    # dropping either one alone still rejects it.
+    # Z3^3 against the Heisenberg group mod 3: in a group every arrow has
+    # one right stabilizer, the identity, so only forcing the images of
+    # composites tells them apart.  Dropping both forcing loops of the
+    # search accepts this pair; dropping either one alone still rejects it.
     abelian, heisenberg = z3_cubed_and_heisenberg()
-    comps = _composition(abelian), _composition(heisenberg)
-    colors = _refine_colors(comps)
-    assert [sorted(set(cs)) for cs in colors] == [[0, 1], [0, 1]]
-    assert sorted(colors[0]) == sorted(colors[1])
-    assert_refinement_matches_oracle(abelian, heisenberg, isomorphic=False)
+    assert stabilizer_counts(abelian) == stabilizer_counts(heisenberg) == [1] * 27
     assert not sl.categories_isomorphic(abelian, heisenberg)
     assert sl.categories_isomorphic(abelian, abelian)
     assert sl.categories_isomorphic(heisenberg, heisenberg)
-
-
-def assert_refinement_matches_oracle(c, d, isomorphic):
-    """``_refine_colors`` gives the oracle's colors, unless it stopped at a
-    discrete coloring of a pair that is not isomorphic: then every one of
-    its classes is a union of the oracle's, and the search still answers
-    as the naive one does."""
-    comps = _composition(c), _composition(d)
-    colors, stable = _refine_colors(comps), naive_refine_colors(comps)
-    n = len(c.arrows)
-    discrete = all(sorted(cs) == list(range(n)) for cs in colors)
-    if isomorphic or not discrete:
-        assert colors == stable
-        return
-    coarser = {}
-    for new, old in zip(chain(*colors), chain(*stable)):
-        assert coarser.setdefault(old, new) == new
-    assert sl.categories_isomorphic(c, d) == naive_categories_isomorphic(c, d)
-
-
-@pytest.mark.parametrize("seed", [0, 3, 39])  # 19 arrows, all distinct; 62; 177
-def test_refinement_matches_oracle_on_relabeled_skeletons(seed):
-    p = sl.random_presentation(seed, 5, Alphabet(("a", "b")), 0.25)
-    sk = sl.envelope_skeleton(sl.syntactic_semigroup(p)[0])
-    assert_refinement_matches_oracle(sk, relabeled(sk, random.Random(seed)), True)
+    # envelope skeletons of relation semigroups, of one shape and with
+    # equal colors, that are not isomorphic; the search accepts the first
+    # pair without its loop over the j·i, the second without its loop
+    # over the i·j or its check of an i·j already assigned, and the third
+    # without its check of a j·i already assigned
+    for g, h, shape in (
+        (
+            {
+                "a": [(1, 1), (2, 0), (2, 1), (2, 2)],
+                "b": [],
+                "c": [(0, 2), (1, 1), (2, 0)],
+            },
+            {
+                "a": [(0, 1), (2, 2), (3, 1)],
+                "b": [(0, 3), (1, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 0)],
+            },
+            (3, 17),
+        ),
+        (
+            {
+                "a": [(0, 2), (1, 1), (2, 2)],
+                "b": [(0, 2), (2, 1)],
+                "c": [(0, 1), (1, 1), (2, 0)],
+            },
+            {"a": [(1, 0), (2, 2)], "b": [(0, 1), (2, 2)], "c": [(0, 0), (1, 2)]},
+            (4, 29),
+        ),
+        (
+            {
+                "a": [(0, 0), (1, 0), (1, 1)],
+                "b": [(0, 0), (1, 1)],
+                "c": [(0, 2), (2, 2)],
+            },
+            {"a": [(1, 1), (1, 2)], "b": [(2, 2)], "c": [(0, 0), (0, 2), (1, 1)]},
+            (4, 25),
+        ),
+    ):
+        c, d = (sl.envelope_skeleton(sl.relation_semigroup(r)[0]) for r in (g, h))
+        for sk in (c, d):
+            assert (len(sk.objects), len(sk.arrows)) == shape
+        assert stabilizer_counts(c) == stabilizer_counts(d)
+        assert not sl.categories_isomorphic(c, d)
+        assert not refined_categories_isomorphic(c, d)
 
 
 def band_and_z2():
@@ -517,20 +533,6 @@ def band_and_z2():
         )
 
     return monoid(1), monoid(0)
-
-
-def test_refinement_stops_at_a_discrete_coloring():
-    # band against Z2: the starting colors, identity and the other arrow,
-    # are already discrete, so refinement stops there, though one more
-    # round would split z from u; the search tells them apart by forcing
-    # z z = z onto u u = 1
-    band, group = band_and_z2()
-    comps = _composition(band), _composition(group)
-    assert _refine_colors(comps) == [[0, 1], [0, 1]]
-    assert naive_refine_colors(comps) == [[0, 1], [2, 3]]
-    assert_refinement_matches_oracle(band, group, isomorphic=False)
-    assert not sl.categories_isomorphic(band, group)
-    assert sl.categories_isomorphic(group, relabeled(group, random.Random(0)))
 
 
 def test_two_passes_match_the_refined_oracle(golden, even):
@@ -573,34 +575,41 @@ def test_two_passes_match_the_refined_oracle(golden, even):
     assert max(len(c.arrows) for c, _ in pairs) == 293
 
 
-def test_first_pass_decides_without_refinement(monkeypatch):
-    def refuse(comps):
-        raise AssertionError("refined")
+def record_passes(monkeypatch):
+    """Record each pass of ``_search`` that runs, as (objects_first, budget)."""
+    passes = []
+    search = karoubi._search
 
-    monkeypatch.setattr(karoubi, "_refine_colors", refuse)
+    def recorded(comps, colors, objects_first, budget):
+        passes.append((objects_first, budget))
+        return search(comps, colors, objects_first, budget)
+
+    monkeypatch.setattr(karoubi, "_search", recorded)
+    return passes
+
+
+def test_first_pass_decides_without_refinement(monkeypatch):
+    passes = record_passes(monkeypatch)
     p = sl.random_presentation(3357, 5, Alphabet(("a", "b")), 0.25)
     sk = flowlab._skeleton_of(p)
     assert len(sk.arrows) == 293
     assert sl.categories_isomorphic(sk, flowlab._skeleton_of(sl.higher_block(p, 2)))
-    # z z = z is forced onto u u = 1, an identity already placed
+    assert passes == [(True, 293)]
+    # z has two right stabilizers, z·1 = z z = z, and u has one, so the
+    # colors differ and no pass runs
+    passes.clear()
     assert not sl.categories_isomorphic(*band_and_z2())
+    assert passes == []
 
 
 def test_first_pass_falls_back_to_refinement(monkeypatch):
-    refined = []
-
-    def counted(comps):
-        refined.append(len(comps[0][0]))
-        return refine(comps)
-
-    refine = karoubi._refine_colors
-    monkeypatch.setattr(karoubi, "_refine_colors", counted)
+    passes = record_passes(monkeypatch)
     assert not sl.categories_isomorphic(*two_squares_and_octagon())
-    assert refined == [16]
+    assert passes == [(True, 16), (False, karoubi.DEFAULT_SEARCH_BUDGET)]
     # the first pass gives up after 16 nodes, one per arrow, and the
-    # second needs 28 of its own
+    # second needs 40 of its own
     with pytest.raises(SearchTimeout):
-        sl.categories_isomorphic(*two_squares_and_octagon(), budget=27)
+        sl.categories_isomorphic(*two_squares_and_octagon(), budget=39)
 
 
 def test_empty_categories_are_isomorphic():
