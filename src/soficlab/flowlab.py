@@ -28,7 +28,6 @@ from .karoubi import (
 )
 from .semigroups import (
     FiniteSemigroup,
-    green_j,
     idempotents,
     is_aperiodic,
     is_full_shift,
@@ -99,13 +98,13 @@ def _skeleton_of(presentation: Presentation) -> FiniteCategory:
 def invariant_report(presentation: Presentation) -> InvariantReport:
     semigroup, _ = syntactic_semigroup(presentation)
     sk = envelope_skeleton(semigroup)
-    green = green_j(semigroup)
+    classes, regular, _ = semigroup.j_classes
     return InvariantReport(
         order=semigroup.size,
         idempotents=len(idempotents(semigroup)),
         aperiodic=is_aperiodic(semigroup),
-        j_classes=len(green.classes),
-        regular_j_classes=sum(green.regular),
+        j_classes=len(classes),
+        regular_j_classes=sum(regular),
         skeleton_objects=len(sk.objects),
         skeleton_hom_matrix=hom_size_matrix(sk),
         irreducible=is_irreducible(presentation),

@@ -41,7 +41,7 @@ from itertools import compress, repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded, SearchTimeout, UnknownObject
-from .semigroups import FiniteSemigroup, green_j, idempotents
+from .semigroups import FiniteSemigroup, idempotents
 
 Arrow = tuple[int, int, int]
 # products(xs, ts): for each t in ts, x t for every x in xs
@@ -144,13 +144,9 @@ def envelope_skeleton(
     walked along f's path.  Every hom-set holds at least e e f, so
     checking the cap per hom-set bounds the work by cap * |S|.
     """
-    green = green_j(semigroup)
+    classes, regular, _ = semigroup.j_classes
     idempotent = semigroup.idempotent.__getitem__
-    objects = sorted(
-        min(filter(idempotent, cls))
-        for cls, regular in zip(green.classes, green.regular)
-        if regular
-    )
+    objects = sorted(min(filter(idempotent, cls)) for cls in compress(classes, regular))
     arrows: list[Arrow] = []
     for e in objects:
         e_s = set(semigroup.row(e))
@@ -364,6 +360,9 @@ def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> boo
             for j in into_a[x]:  # j·i
                 v = sigma[j]
                 if v != -1:
+                    # only an early exit, which keeps pos_b[u] in range: the
+                    # (x, p) queued above clashes with the image j forced on
+                    # x (never seen to fire: the i·j loop meets a loop i first)
                     if dst_b[v] != p:
                         return False
                     k, w = after_a[j][pos_a[i]], after_b[v][pos_b[u]]

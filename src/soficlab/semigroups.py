@@ -25,6 +25,8 @@ DEFAULT_SUBSET_CAP = 2**20
 
 T = TypeVar("T", bound=Hashable)
 L = TypeVar("L")
+# the J-classes, whether each is regular, and the order the pass finished them
+JClasses = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...], tuple[int, ...]]
 
 
 def render_word(word: Word) -> str:
@@ -184,7 +186,9 @@ class FiniteSemigroup:
     follows from the tree.  ``idempotent[x]``, whether x.x = x, is
     computed once, on first read, and every idempotency question reads
     it: ``is_idempotent``, :func:`idempotents`, the regular J-classes and
-    the skeleton's objects.  ``table[i][j]``, the whole n x n table, is
+    the skeleton's objects.  ``j_classes``, the J-classes and their
+    regularity, is one pass computed on first read, and ``green_j`` adds
+    the J-order to it.  ``table[i][j]``, the whole n x n table, is
     filled only on first read, for callers that want every product at
     once; no function in the package reads it.
     """
@@ -345,9 +349,17 @@ class FiniteSemigroup:
         return render_word(self.witnesses[i])
 
     @cached_property
-    def green_j(self) -> GreenJ:
-        """J-classes, computed once: the table never changes."""
+    def j_classes(self) -> JClasses:
+        """The J-classes numbered by least member, whether each is regular,
+        and the class numbers in the order the pass finished them, each
+        after every class below it; computed once, without the J-order."""
         return _j_classes(self)
+
+    @cached_property
+    def green_j(self) -> GreenJ:
+        """J-classes with their strict order, computed once."""
+        classes, regular, _ = self.j_classes
+        return GreenJ(classes, _j_order(self), regular)
 
     def evaluate(self, word: Word) -> int:
         """Value of ``word``, stepped through the right Cayley graph."""
@@ -399,8 +411,11 @@ def _closure(
     It builds what Froidure & Pin (*Algorithms for computing finite
     semigroups*, 1997) keep: the right Cayley graph and the BFS tree, in
     which each element x other than a generator is reached as x = p.s, p
-    its BFS parent and s a generator.  The Cayley table is not filled
-    here; the semigroup fills it from these on first read.
+    its BFS parent and s a generator.  Elements are found by their
+    values, which ``compose`` builds and the index is keyed on: byte codes
+    or tuples of states for a DFA, relations otherwise; the right operand
+    is always a generator's value.  The Cayley table is not filled here;
+    the semigroup fills it from these on first read.
     """
     index: dict[T, int] = {}
     values: list[T] = []
@@ -422,10 +437,11 @@ def _closure(
 
     # right[g][x] = x.g; letters with one value share one column.
     right: list[list[int]] = [[] for _ in range(gen_count)]
-    i = 0
-    while i < len(values):
-        for g in range(gen_count):
-            product = compose(values[i], values[g])
+    # per generator g: g, its value, and the append of its column
+    steps = list(enumerate(zip(values[:gen_count], [c.append for c in right])))
+    for i, x in enumerate(values):  # values grows as the loop runs
+        for g, (value, add) in steps:
+            product = compose(x, value)
             j = index.get(product)
             if j is None:
                 j = len(values)
@@ -436,8 +452,7 @@ def _closure(
                 witnesses.append(witnesses[i] + witnesses[g])
                 parent.append(i)
                 last.append(g)
-            right[g].append(j)
-        i += 1
+            add(j)
 
     # a trivial semigroup has no zero, as in parse_cayley_table
     zero = index.get(zero_value) if len(values) > 1 else None
@@ -454,19 +469,31 @@ def transition_semigroup(
     Words compose left to right: the first letter acts first.  When the
     DFA has a sink, the constant map onto it is the zero and is tagged as
     such if some word induces it.
+
+    A map is the sequence of the states s.w.  With at most 256 states it
+    is a ``bytes`` code, and x.g is one C-level ``bytes.translate`` of x's
+    code through g's code padded to 256 bytes, a table built once per
+    generator; past 256 states it is a tuple, read through ``itemgetter``.
     """
     n = dfa.size
-    symbols = list(dfa.alphabet)
+    code = bytes if n <= 256 else tuple
     generators = [
-        (a, tuple(dfa.transitions[s][k] for s in range(n)))
-        for k, a in enumerate(symbols)
+        (a, code(row[k] for row in dfa.transitions))
+        for k, a in enumerate(dfa.alphabet)
     ]
+    if code is bytes:
+        tables = {g: g.ljust(256, b"\0") for _, g in generators}
 
-    def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        # g[f[s]] for each state s, in C; one key would give a scalar
-        return itemgetter(*f)(g) if n > 1 else (g[f[0]],)
+        def compose(f: bytes, g: bytes) -> bytes:
+            return f.translate(tables[g])
 
-    zero_value = tuple(dfa.sink for _ in range(n)) if dfa.sink is not None else None
+    else:
+
+        def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+            # g[f[s]] for each state s, in C
+            return itemgetter(*f)(g)
+
+    zero_value = code([dfa.sink] * n) if dfa.sink is not None else None
     semigroup = _closure(generators, compose, zero_value, cap)
     return semigroup, SemigroupMorphism(dfa.alphabet, semigroup, semigroup.generators)
 
@@ -579,32 +606,32 @@ class GreenJ:
 
 
 def green_j(semigroup: FiniteSemigroup) -> GreenJ:
-    """J-classes of ``semigroup``, computed on the first call only."""
+    """J-classes of ``semigroup`` and their order, computed on the first
+    call only.  The package's verdicts read ``semigroup.j_classes``, the
+    pass without the order."""
     return semigroup.green_j
 
 
-def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
-    """Compute J-classes from the Cayley graphs, in one Tarjan pass.
+def _j_classes(semigroup: FiniteSemigroup) -> JClasses:
+    """J-classes from the Cayley graphs, in one Tarjan pass.
 
     Multiplying by one generator on either side steps down (or across) the
     J-order, and every two-sided ideal membership is witnessed by such
     steps, so J-classes are the strongly connected components of the graph
     with edges s -> s.g (the columns of ``right``) and s -> g.s (the rows
-    of ``left``), and the order is its condensation.
-    Tarjan's algorithm finishes a component after every component it
-    reaches, so the set below a component is a bit mask at hand when it
-    finishes: the union, over its edges into other components d, of d and
-    the set below d.  Classes are numbered by least member.
+    of ``left``), and the order is its condensation.  Tarjan's algorithm
+    finishes a component after every component it reaches; the pass
+    records that order and leaves the order itself to :func:`_j_order`.
+    Classes are numbered by least member.
     """
     n = semigroup.size
     # edges[s]: s.g for each generator g, then g.s
     edges = list(zip(*semigroup.right, *semigroup.left))
-    tick, finished = count(), count()
+    tick, finished = count(), count(n)
     num = [-1] * n  # discovery order
-    low = [0] * n  # least num reached on the stack; n once s's component is done
-    # components below s seen so far; once done, those below and s's own,
-    # which is the highest bit since a component finishes after those below
-    down = [0] * n
+    # least num reached on the stack; once s's component is done, n plus
+    # the component's place in finishing order, above every num
+    low = [0] * n
     stack: list[int] = []
     for root in range(n):
         if num[root] != -1:
@@ -622,35 +649,47 @@ def _j_classes(semigroup: FiniteSemigroup) -> GreenJ:
                     break
                 if low[w] < low[v]:
                     low[v] = low[w]
-                down[v] |= down[w]
             else:
                 path.pop()
                 if low[v] == num[v]:
-                    mask = down[v] | 1 << next(finished)
+                    done = next(finished)
                     w = -1
                     while w != v:
                         w = stack.pop()
-                        low[w], down[w] = n, mask
-                if path:
-                    u = path[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    down[u] |= down[v]
+                        low[w] = done
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
 
     members: dict[int, list[int]] = {}
-    for s in range(n):
-        members.setdefault(down[s].bit_length() - 1, []).append(s)
-    rank = {c: k for k, c in enumerate(members)}
-    below = frozenset(
-        (rank[d], rank[c])
-        for c, cls in members.items()
-        for d, bit in enumerate(reversed(f"{down[cls[0]]:b}"))
-        if bit == "1" and d != c
-    )
+    for s, done in enumerate(low):
+        members.setdefault(done, []).append(s)
     classes = tuple(map(tuple, members.values()))
     idempotent = semigroup.idempotent.__getitem__
     regular = tuple(any(map(idempotent, cls)) for cls in classes)
-    return GreenJ(classes, below, regular)
+    keys = list(members)  # n plus each class's place in finishing order
+    return classes, regular, tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _j_order(semigroup: FiniteSemigroup) -> frozenset[tuple[int, int]]:
+    """The strict J-order, (d, c) for each class d below class c: the
+    condensation of the pass's edges, closed up in finishing order, so
+    the bit mask of the classes below each end of an edge is at hand."""
+    classes, _, finished = semigroup.j_classes
+    of = [0] * semigroup.size
+    for c, cls in enumerate(classes):
+        for s in cls:
+            of[s] = c
+    edges = list(zip(*semigroup.right, *semigroup.left))
+    down = [0] * len(classes)
+    for c in finished:
+        for d in {of[t] for s in classes[c] for t in edges[s]} - {c}:
+            down[c] |= down[d] | 1 << d
+    return frozenset(
+        (d, c)
+        for c, mask in enumerate(down)
+        for d, bit in enumerate(reversed(f"{mask:b}"))
+        if bit == "1"
+    )
 
 
 def maximal_subgroup(semigroup: FiniteSemigroup, e: int) -> tuple[int, ...]:

@@ -48,7 +48,9 @@ EXPANSION_SYMBOL = "@"
 
 
 def _check_token(token: str, kind: str) -> str:
-    if not token or any(c.isspace() for c in token) or "#" in token:
+    # split() cuts at exactly the characters isspace() accepts, so this
+    # rejects the empty token and any token holding whitespace
+    if token.split() != [token] or "#" in token:
         raise ParseError(f"bad {kind} token: {token!r}")
     if not token.isprintable():
         raise ParseError(f"unprintable {kind} token: {token!r}")

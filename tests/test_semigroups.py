@@ -245,6 +245,13 @@ class TestGreenJ:
         sl.invariant_report(even)
         assert len(calls) == 2
 
+    def test_the_skeleton_leaves_the_order_uncomputed(self, even):
+        s, _ = sl.syntactic_semigroup(even)
+        sl.envelope_skeleton(s)
+        assert "j_classes" in vars(s) and "green_j" not in vars(s)
+        classes, regular, _ = s.j_classes
+        assert (sl.green_j(s).classes, sl.green_j(s).regular) == (classes, regular)
+
 
 def assert_green_j_matches_oracle(semigroup):
     j = sl.green_j(semigroup)
@@ -421,6 +428,48 @@ def test_transition_table_matches_state_maps(seed, n_vertices, density):
 
     assert_table_matches(s, state_map, after_map)
     assert naive_render(s) == sl.render_cayley_table(s)
+
+
+def padded(dfa, size):
+    """``dfa`` with states added up to ``size`` states, each going to the
+    sink on every letter, so that no word tells them apart."""
+    extra = ((dfa.sink,) * len(dfa.alphabet),) * (size - dfa.size)
+    return sl.Dfa(
+        dfa.alphabet, dfa.transitions + extra, dfa.start, dfa.accepting, dfa.sink
+    )
+
+
+def closure_record(s):
+    return (s.right, s.parent, s.last, s.witnesses, s.generators, s.zero, s.idempotent)
+
+
+def test_closure_is_the_same_on_either_side_of_256_states():
+    # up to 256 states the maps are bytes, past them tuples
+    checked = 0
+    for seed in range(40):
+        p = sl.random_presentation(seed, 2 + seed % 5, Alphabet(("a", "b")), 0.3)
+        dfa = sl.determinize_minimal(p)
+        if dfa.sink is None:
+            continue
+        record = closure_record(sl.transition_semigroup(dfa)[0])
+        for size in (256, 257, 300):
+            large, _ = sl.transition_semigroup(padded(dfa, size))
+            assert closure_record(large) == record
+        checked += 1
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_a_cyclic_permutation_gives_the_cyclic_group(n):
+    # one letter that steps every state forward by one, mod n
+    cycle = sl.Dfa(
+        Alphabet(("a",)), tuple(((s + 1) % n,) for s in range(n)), 0, frozenset(), None
+    )
+    s, _ = sl.transition_semigroup(cycle)
+    assert s.size == n and s.zero is None
+    assert s.right == (tuple(range(1, n)) + (0,),)
+    assert s.witnesses[-1] == ("a",) * n
+    assert sl.idempotents(s) == [n - 1]
 
 
 relations = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5)

@@ -32,6 +32,33 @@ def test_alphabet_rejects_duplicates_and_bad_tokens():
         sl.Alphabet(("a b",))
 
 
+def rejected_as_bad(token):
+    try:
+        shift._check_token(token, "symbol")
+    except ParseError as exc:
+        return str(exc).startswith("bad symbol token")
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.sampled_from(" \t\x1c\x1f\x85\xa0\u2028\u3000#") | st.characters(),
+        max_size=6,
+    )
+)
+def test_token_check_rejects_empty_whitespace_and_comment_tokens(token):
+    bad = not token or any(c.isspace() for c in token) or "#" in token
+    assert rejected_as_bad(token) == bad
+
+
+def test_token_check_splits_at_every_whitespace_character():
+    # the check's split() cuts at exactly the code points isspace() accepts
+    for c in map(chr, range(0x110000)):
+        assert (c.split() != [c]) == c.isspace()
+    assert rejected_as_bad("\x85") and rejected_as_bad("a\x1cb")
+
+
 def test_alphabet_shortlex_key_orders_words():
     words = [("b",), ("a", "a"), ("a",), ("b", "a")]
     assert sorted(words, key=AB.sort_key) == [
