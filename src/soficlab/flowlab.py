@@ -24,7 +24,6 @@ from .karoubi import (
     categories_isomorphic,
     envelope_skeleton,
     hom_size_matrix,
-    DEFAULT_SEARCH_BUDGET,
 )
 from .semigroups import (
     FiniteSemigroup,
@@ -133,12 +132,7 @@ def _fingerprint(cat: FiniteCategory) -> str:
     return f"{len(cat.objects)} objects, hom sizes {matrix}"
 
 
-def flow_compare(
-    left: Presentation,
-    right: Presentation,
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> FlowVerdict:
+def flow_compare(left: Presentation, right: Presentation) -> FlowVerdict:
     """One-sided comparison: a skeleton mismatch refutes flow equivalence.
 
     The positive direction is out of reach for plain presentations, so the
@@ -146,7 +140,7 @@ def flow_compare(
     """
     sk_left = _skeleton_of(left)
     sk_right = _skeleton_of(right)
-    if categories_isomorphic(sk_left, sk_right, budget=budget):
+    if categories_isomorphic(sk_left, sk_right):
         return FlowVerdict(
             Verdict.NOT_DISTINGUISHED,
             "envelope skeletons are isomorphic; the invariant cannot separate",
@@ -179,10 +173,7 @@ def apply_move(presentation: Presentation, move: Move) -> Presentation:
 
 
 def expansion_invariance_check(
-    presentation: Presentation,
-    moves: Iterable[Move],
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    presentation: Presentation, moves: Iterable[Move]
 ) -> bool:
     """Apply ``moves`` in order and test envelope-skeleton isomorphism.
 
@@ -192,9 +183,7 @@ def expansion_invariance_check(
     recoded = presentation
     for move in moves:
         recoded = apply_move(recoded, move)
-    return categories_isomorphic(
-        _skeleton_of(presentation), _skeleton_of(recoded), budget=budget
-    )
+    return categories_isomorphic(_skeleton_of(presentation), _skeleton_of(recoded))
 
 
 def _degree_hypothesis(graph: DyckGraph) -> bool:
@@ -330,6 +319,11 @@ def random_proper_presentations(
     if count < 0:
         raise InputError("count must be nonnegative")
     letters = set(alphabet.symbols)
+    # else no candidate is ever kept, and the search for one never ends
+    if len(letters) < 2:
+        raise InputError("one letter presents only the full shift")
+    if density == 1.0:
+        raise InputError("density 1 makes every triple an edge, so the shift is full")
     picked: list[tuple[int, Presentation]] = []
     seed = start_seed
     while len(picked) < count:

@@ -11,14 +11,12 @@ The search stores only the pairs of arrows that compose: for each arrow
 x, the index of x y for every arrow y leaving the target of x.  It
 assigns arrows by backtracking, so that two arrows compose exactly when
 their images do.  An arrow i is colored by its number of arrows j with
-i j = i, and goes to an arrow of its color.  The first pass places each
-object on one whose hom-set sizes with those placed agree, then each
-arrow on a free arrow of its image hom-set; it is exact when it ends,
-and it gives up after one attempted assignment per arrow.  Only then
-does the second pass assign arrow by arrow, with the same colors.
-Objects need no map of their own: an arrow's ends are the identities it
-composes with, so assigning an arrow assigns those identities, and a
-candidate must fit the ones already assigned.
+i j = i, and goes to an arrow of its color.  The search places each
+object on one whose hom-set sizes with those placed agree, each after
+one it shares a non-empty hom-set with where there is one, then each
+arrow on a free arrow of its color in its image hom-set.  Objects need
+no map of their own: an arrow's ends are the identities it composes
+with, so assigning an arrow assigns those identities.
 ``dump_category`` prints the composites from the same lists.  Their
 number is counted from the hom-sets before any product is read, and
 past ``DEFAULT_PAIR_CAP`` both refuse with CapExceeded.
@@ -268,17 +266,12 @@ def categories_isomorphic(
 
     Each arrow i is colored by its number of right stabilizers, the
     arrows j with i·j = i, which any isomorphism keeps; if the two sides'
-    colors differ as multisets, the answer is False.  Otherwise two
-    passes of one backtracking search follow; see ``_search``.  The
-    first places objects first, then each arrow on a free arrow of its
-    color in its image hom-set; it gives up after min(n, budget)
-    attempted assignments, n being the number of arrows.  Then the
-    second pass assigns each arrow, most constrained first, to an arrow
-    of its color whose ends fit the identities assigned so far.  Either
-    answer is exact: the search is complete and checks every composite.
-    Raises SearchTimeout when the second pass attempts more than
-    ``budget`` assignments, so at most min(n, budget) + budget are
-    attempted in all.
+    colors differ as multisets, the answer is False.  Otherwise one
+    backtracking search follows, see ``_search``: it places the objects
+    first, then each arrow on a free arrow of its color in its image
+    hom-set.  Its answer is exact: the search is complete and checks
+    every composite.  Raises SearchTimeout when it attempts more than
+    ``budget`` assignments.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
@@ -288,14 +281,10 @@ def categories_isomorphic(
     ]
     if sorted(colors[0]) != sorted(colors[1]):
         return False
-    try:
-        return _search(comps, colors, True, min(len(c.arrows), budget))
-    except SearchTimeout:
-        pass
-    return _search(comps, colors, False, budget)
+    return _search(comps, colors, budget)
 
 
-def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> bool:
+def _search(comps: tuple, colors: list, budget: int) -> bool:
     """Backtracking search for an isomorphism, most constrained first.
 
     Objects follow from identities: the one identity x with x·i defined
@@ -303,14 +292,13 @@ def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> boo
     source of σi.  An assignment forces the identities at its ends, and
     for each assigned arrow it composes with, the image of the
     composite, which must exist.  A candidate has the arrow's color.
-    With ``objects_first`` identities are placed first, each on an
-    identity whose hom-set sizes with those placed agree, and then an
-    arrow's candidates are the free arrows of its color in its image
-    hom-set: ``pick`` takes the class with the fewest, read from a count
-    per class, not from a scan of the arrows.  Otherwise ``pick`` scans
-    the unassigned arrows for the one with the fewest candidates of its
-    color that fit the identities assigned so far.  Raises SearchTimeout
-    when more than ``budget`` assignments are attempted.
+    Identities are placed first, breadth first over the non-empty
+    hom-sets between them, each on an identity whose hom-set sizes with
+    those placed agree.  Then an arrow's candidates are the free arrows
+    of its color in its image hom-set: ``pick`` takes the class with the
+    fewest, read from a count per class, not from a scan of the arrows.
+    Raises SearchTimeout when more than ``budget`` assignments are
+    attempted.
     """
     (src_a, dst_a, pos_a, after_a, into_a), (src_b, dst_b, pos_b, after_b, _) = comps
     n = len(src_a)
@@ -372,64 +360,56 @@ def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> boo
                         return False
         return True
 
-    if objects_first:
-        homs_b: dict[tuple[int, int, int], list[int]] = {}
-        for u, key in enumerate(zip(src_b, dst_b, color_b)):
-            homs_b.setdefault(key, []).append(u)
-        ids_a = [i for i in range(n) if src_a[i] == i]
-        ids_b = [u for u in range(n) if src_b[u] == u]
-        size_a: defaultdict[tuple[int, int], int] = defaultdict(int)
-        size_b: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for sizes, homs in ((size_a, homs_a), (size_b, homs_b)):
-            for (x, y, _), arrows in homs.items():
-                sizes[x, y] += len(arrows)
+    homs_b: dict[tuple[int, int, int], list[int]] = {}
+    for u, key in enumerate(zip(src_b, dst_b, color_b)):
+        homs_b.setdefault(key, []).append(u)
+    size_a: defaultdict[tuple[int, int], int] = defaultdict(int)
+    size_b: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for sizes, homs in ((size_a, homs_a), (size_b, homs_b)):
+        for (x, y, _), arrows in homs.items():
+            sizes[x, y] += len(arrows)
+    # c's identities breadth first over the non-empty hom-sets between
+    # them, roots in index order: each comes after one it shares a hom-set
+    # with, where there is one, so the hom-set sizes to those placed
+    # already narrow its candidates
+    identities = [i for i in range(n) if src_a[i] == i]
+    ids_a: list[int] = []
+    seen: set[int] = set()
+    for root in identities:
+        if root not in seen:
+            seen.add(root)
+            queue = [root]
+            for x in queue:
+                for y in identities:
+                    if y not in seen and (size_a[x, y] or size_a[y, x]):
+                        seen.add(y)
+                        queue.append(y)
+            ids_a += queue
+    ids_b = [u for u in range(n) if src_b[u] == u]
 
-        def pick() -> tuple[int, list[int]] | None:
-            """The next identity and those it may go to; once all are
-            placed, an arrow of the class with the fewest unassigned
-            arrows, and the free arrows of its image."""
-            for x in ids_a:
-                if sigma[x] == -1:
-                    ends = [(y, sigma[y]) for y in ids_a if sigma[y] != -1]
-                    return x, [
-                        p
-                        for p in ids_b
-                        if not used[p]
-                        and all(
-                            size_b[p, q] == size_a[x, y]
-                            and size_b[q, p] == size_a[y, x]
-                            for y, q in ends + [(x, p)]
-                        )
-                    ]
-            count, g = min(((k, g) for g, k in enumerate(left) if k), default=(0, -1))
-            if not count:
-                return None
-            i = next(i for i in groups[g] if sigma[i] == -1)
-            image = homs_b.get((sigma[src_a[i]], sigma[dst_a[i]], color_a[i]), ())
-            return i, [u for u in image if not used[u]]
-
-    else:
-        candidates: dict[int, list[int]] = {}
-        for j, col in enumerate(color_b):
-            candidates.setdefault(col, []).append(j)
-
-        def pick() -> tuple[int, list[int]] | None:
-            """An unassigned arrow with the fewest candidates that fit, and those."""
-            best = None
-            for i in compress(range(n), map((-1).__eq__, sigma)):
-                x, y = sigma[src_a[i]], sigma[dst_a[i]]
-                fits = [
-                    u
-                    for u in candidates[color_a[i]]
-                    if not used[u]
-                    and (x < 0 or x == src_b[u])
-                    and (y < 0 or y == dst_b[u])
+    def pick() -> tuple[int, list[int]] | None:
+        """The next identity and those it may go to; once all are
+        placed, an arrow of the class with the fewest unassigned
+        arrows, and the free arrows of its image."""
+        for x in ids_a:
+            if sigma[x] == -1:
+                ends = [(y, sigma[y]) for y in ids_a if sigma[y] != -1]
+                return x, [
+                    p
+                    for p in ids_b
+                    if not used[p]
+                    and all(
+                        size_b[p, q] == size_a[x, y]
+                        and size_b[q, p] == size_a[y, x]
+                        for y, q in ends + [(x, p)]
+                    )
                 ]
-                if best is None or len(fits) < len(best[1]):
-                    best = i, fits
-                    if len(fits) <= 1:
-                        break
-            return best
+        count, g = min(((k, g) for g, k in enumerate(left) if k), default=(0, -1))
+        if not count:
+            return None
+        i = next(i for i in groups[g] if sigma[i] == -1)
+        image = homs_b.get((sigma[src_a[i]], sigma[dst_a[i]], color_a[i]), ())
+        return i, [u for u in image if not used[u]]
 
     def search() -> bool:
         nonlocal nodes
@@ -458,14 +438,9 @@ def _search(comps: tuple, colors: list, objects_first: bool, budget: int) -> boo
         del search
 
 
-def categories_equivalent(
-    c: FiniteCategory,
-    d: FiniteCategory,
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> bool:
+def categories_equivalent(c: FiniteCategory, d: FiniteCategory) -> bool:
     """Equivalence test for finite categories: are the skeletons isomorphic?"""
-    return categories_isomorphic(skeleton(c), skeleton(d), budget=budget)
+    return categories_isomorphic(skeleton(c), skeleton(d))
 
 
 def dump_chunks(category: FiniteCategory) -> Iterator[str]:

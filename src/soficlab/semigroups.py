@@ -500,13 +500,9 @@ def transition_semigroup(
 
 def syntactic_semigroup(
     presentation: Presentation,
-    *,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[FiniteSemigroup, SemigroupMorphism]:
     """Syntactic semigroup of the block language, with its witness morphism."""
-    dfa = determinize_minimal(presentation, cap=subset_cap)
-    return transition_semigroup(dfa, cap=element_cap)
+    return transition_semigroup(determinize_minimal(presentation))
 
 
 Relation = frozenset[tuple[str, str]]

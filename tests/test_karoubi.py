@@ -430,16 +430,41 @@ def two_squares_and_octagon():
 
 def test_search_fits_candidates_to_assigned_identities():
     # Every arrow in both has one right stabilizer, the identity at its
-    # target, so only the search tells the categories apart.  Placing
-    # objects first would take 208 nodes, so the first pass gives up
-    # after 16, one per arrow; the second takes 40 nodes when each
-    # assignment forces the identities at its ends and a candidate must
-    # fit those already assigned; without the forcing it took 4936,
-    # without the fit 1033448.
+    # target, so only the search tells the categories apart.  It takes
+    # 24 nodes when each identity goes to one whose hom-set sizes with
+    # those placed agree, and each is placed after one it shares a
+    # hom-set with; without that fit it took 116512 nodes, and with the
+    # identities in index order, every source before any target, 208.
     two_squares, octagon = two_squares_and_octagon()
     assert not naive_categories_isomorphic(two_squares, octagon)
-    assert not sl.categories_isomorphic(two_squares, octagon, budget=40)
+    assert not sl.categories_isomorphic(two_squares, octagon, budget=24)
+    with pytest.raises(SearchTimeout):
+        sl.categories_isomorphic(two_squares, octagon, budget=23)
     assert sl.categories_isomorphic(octagon, relabeled(octagon, random.Random(0)))
+
+
+def cycles(count, length):
+    """``count`` disjoint cycles of ``length`` edges as a bipartite
+    category: source j of a cycle has edges to its targets j and j + 1."""
+    half = length // 2
+    edges = []
+    for c in range(count):
+        base = c * length
+        for j in range(half):
+            source = base + j
+            edges += [(source, base + half + j), (source, base + half + (j + 1) % half)]
+    return bipartite_category(edges)
+
+
+def test_search_places_identities_breadth_first():
+    # The search places each identity after one it shares a non-empty
+    # hom-set with.  With the identities in index order, every source
+    # before any target, the first pair took more than 500,000 nodes.
+    two, one = cycles(2, 12), cycles(1, 24)
+    assert not sl.categories_isomorphic(two, one, budget=264)
+    with pytest.raises(SearchTimeout):
+        sl.categories_isomorphic(two, one, budget=263)
+    assert sl.categories_isomorphic(one, relabeled(one, random.Random(0)))
 
 
 def one_object_group(mul):
@@ -535,9 +560,9 @@ def band_and_z2():
     return monoid(1), monoid(0)
 
 
-def test_two_passes_match_the_refined_oracle(golden, even):
+def test_search_matches_the_refined_oracle(golden, even):
     # flow moves of random inputs, up to 293 arrows; unrelated pairs of
-    # one shape; and the pinned pairs, whichever pass decides them
+    # one shape; and the pinned pairs
     ab = Alphabet(("a", "b"))
     inputs = [(s, 2 + s % 5, 0.3) for s in range(30)]
     inputs += [(224, 6, 0.25), (39, 5, 0.25), (3357, 5, 0.25)]
@@ -573,43 +598,6 @@ def test_two_passes_match_the_refined_oracle(golden, even):
         assert answers[-1] == refined_categories_isomorphic(c, d)
     assert answers.count(False) >= 7
     assert max(len(c.arrows) for c, _ in pairs) == 293
-
-
-def record_passes(monkeypatch):
-    """Record each pass of ``_search`` that runs, as (objects_first, budget)."""
-    passes = []
-    search = karoubi._search
-
-    def recorded(comps, colors, objects_first, budget):
-        passes.append((objects_first, budget))
-        return search(comps, colors, objects_first, budget)
-
-    monkeypatch.setattr(karoubi, "_search", recorded)
-    return passes
-
-
-def test_first_pass_decides_without_refinement(monkeypatch):
-    passes = record_passes(monkeypatch)
-    p = sl.random_presentation(3357, 5, Alphabet(("a", "b")), 0.25)
-    sk = flowlab._skeleton_of(p)
-    assert len(sk.arrows) == 293
-    assert sl.categories_isomorphic(sk, flowlab._skeleton_of(sl.higher_block(p, 2)))
-    assert passes == [(True, 293)]
-    # z has two right stabilizers, z·1 = z z = z, and u has one, so the
-    # colors differ and no pass runs
-    passes.clear()
-    assert not sl.categories_isomorphic(*band_and_z2())
-    assert passes == []
-
-
-def test_first_pass_falls_back_to_refinement(monkeypatch):
-    passes = record_passes(monkeypatch)
-    assert not sl.categories_isomorphic(*two_squares_and_octagon())
-    assert passes == [(True, 16), (False, karoubi.DEFAULT_SEARCH_BUDGET)]
-    # the first pass gives up after 16 nodes, one per arrow, and the
-    # second needs 40 of its own
-    with pytest.raises(SearchTimeout):
-        sl.categories_isomorphic(*two_squares_and_octagon(), budget=39)
 
 
 def test_empty_categories_are_isomorphic():
