@@ -103,15 +103,14 @@ class FiniteCategory:
         return (x[0], self.mul(x[1], y[1]), y[2])
 
 
-def karoubi_envelope(
-    semigroup: FiniteSemigroup, *, cap: int = DEFAULT_ARROW_CAP
-) -> FiniteCategory:
+def karoubi_envelope(semigroup: FiniteSemigroup) -> FiniteCategory:
     """Envelope category of ``semigroup``; see the module docstring.
 
     e s f = s exactly when s is in e S and s f = s: e S is e's row, and
     s f is read for every idempotent f in one batch.  Every hom-set holds
-    e f, so checking the cap per hom-set bounds the work.
+    e f, so checking ``DEFAULT_ARROW_CAP`` per hom-set bounds the work.
     """
+    cap = DEFAULT_ARROW_CAP
     objects = tuple(idempotents(semigroup))
     arrows: list[Arrow] = []
     for e in objects:
@@ -129,9 +128,7 @@ def karoubi_envelope(
     )
 
 
-def envelope_skeleton(
-    semigroup: FiniteSemigroup, *, cap: int = DEFAULT_ARROW_CAP
-) -> FiniteCategory:
+def envelope_skeleton(semigroup: FiniteSemigroup) -> FiniteCategory:
     """Skeleton of the envelope of ``semigroup``, built from its J-classes.
 
     Objects are the least idempotent of each regular J-class, in
@@ -140,8 +137,10 @@ def envelope_skeleton(
     ``skeleton(karoubi_envelope(semigroup))``.  e S is e's row of the
     table, built alone by the tree recurrence, and e S f is its image
     walked along f's path.  Every hom-set holds at least e e f, so
-    checking the cap per hom-set bounds the work by cap * |S|.
+    checking ``DEFAULT_ARROW_CAP`` per hom-set bounds the work by the cap
+    times |S|.
     """
+    cap = DEFAULT_ARROW_CAP
     classes, regular, _ = semigroup.j_classes
     idempotent = semigroup.idempotent.__getitem__
     objects = sorted(min(filter(idempotent, cls)) for cls in compress(classes, regular))
@@ -256,12 +255,7 @@ def _composition(category: FiniteCategory) -> tuple[list, ...]:
     return src, dst, pos, after, into
 
 
-def categories_isomorphic(
-    c: FiniteCategory,
-    d: FiniteCategory,
-    *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> bool:
+def categories_isomorphic(c: FiniteCategory, d: FiniteCategory) -> bool:
     """Whether an invertible composition-preserving arrow bijection exists.
 
     Each arrow i is colored by its number of right stabilizers, the
@@ -271,7 +265,7 @@ def categories_isomorphic(
     first, then each arrow on a free arrow of its color in its image
     hom-set.  Its answer is exact: the search is complete and checks
     every composite.  Raises SearchTimeout when it attempts more than
-    ``budget`` assignments.
+    ``DEFAULT_SEARCH_BUDGET`` assignments.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
@@ -281,10 +275,10 @@ def categories_isomorphic(
     ]
     if sorted(colors[0]) != sorted(colors[1]):
         return False
-    return _search(comps, colors, budget)
+    return _search(comps, colors)
 
 
-def _search(comps: tuple, colors: list, budget: int) -> bool:
+def _search(comps: tuple, colors: list) -> bool:
     """Backtracking search for an isomorphism, most constrained first.
 
     Objects follow from identities: the one identity x with x·i defined
@@ -297,9 +291,10 @@ def _search(comps: tuple, colors: list, budget: int) -> bool:
     those placed agree.  Then an arrow's candidates are the free arrows
     of its color in its image hom-set: ``pick`` takes the class with the
     fewest, read from a count per class, not from a scan of the arrows.
-    Raises SearchTimeout when more than ``budget`` assignments are
-    attempted.
+    Raises SearchTimeout when more than ``DEFAULT_SEARCH_BUDGET``
+    assignments are attempted.
     """
+    budget = DEFAULT_SEARCH_BUDGET
     (src_a, dst_a, pos_a, after_a, into_a), (src_b, dst_b, pos_b, after_b, _) = comps
     n = len(src_a)
     color_a, color_b = colors

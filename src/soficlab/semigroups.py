@@ -56,9 +56,7 @@ class Dfa:
         return len(self.transitions)
 
 
-def determinize_minimal(
-    presentation: Presentation, *, cap: int = DEFAULT_SUBSET_CAP
-) -> Dfa:
+def determinize_minimal(presentation: Presentation) -> Dfa:
     """Minimal complete DFA of the block language of ``presentation``.
 
     Subset construction started from the full vertex set (a word is a
@@ -66,8 +64,9 @@ def determinize_minimal(
     every nonempty subset accepting, then Moore minimization.  Subsets are
     int bit masks, and a subset's successor on a symbol is the union of
     its vertices' successor masks.  Raises CapExceeded if more than
-    ``cap`` subsets become reachable.
+    ``DEFAULT_SUBSET_CAP`` subsets become reachable.
     """
+    cap = DEFAULT_SUBSET_CAP
     symbols = list(presentation.alphabet)
     # a subset is an int mask, vertex i its bit 1 << i; successors[k] maps
     # a vertex's bit to the mask of its successors on the k-th symbol
@@ -113,7 +112,7 @@ def is_full_shift(presentation: Presentation) -> bool:
     exactly when it is not a block, and every state but the sink is
     reached from the start, so the shift is full exactly when no state
     other than the sink has a transition into it.  Raises CapExceeded
-    past the default subset cap of :func:`determinize_minimal`.
+    past ``DEFAULT_SUBSET_CAP``, as :func:`determinize_minimal` does.
     """
     dfa = determinize_minimal(presentation)
     sink = dfa.sink
@@ -404,7 +403,6 @@ def _closure(
     generators: list[tuple[str, T]],
     compose: Callable[[T, T], T],
     zero_value: T | None,
-    cap: int,
 ) -> FiniteSemigroup:
     """Shortlex breadth-first closure of ``generators`` under ``compose``.
 
@@ -415,8 +413,10 @@ def _closure(
     values, which ``compose`` builds and the index is keyed on: byte codes
     or tuples of states for a DFA, relations otherwise; the right operand
     is always a generator's value.  The Cayley table is not filled here;
-    the semigroup fills it from these on first read.
+    the semigroup fills it from these on first read.  Raises CapExceeded
+    past ``DEFAULT_ELEMENT_CAP`` elements.
     """
+    cap = DEFAULT_ELEMENT_CAP
     index: dict[T, int] = {}
     values: list[T] = []
     witnesses: list[Word] = []
@@ -461,9 +461,7 @@ def _closure(
     )
 
 
-def transition_semigroup(
-    dfa: Dfa, *, cap: int = DEFAULT_ELEMENT_CAP
-) -> tuple[FiniteSemigroup, SemigroupMorphism]:
+def transition_semigroup(dfa: Dfa) -> tuple[FiniteSemigroup, SemigroupMorphism]:
     """Semigroup of state maps induced by nonempty words.
 
     Words compose left to right: the first letter acts first.  When the
@@ -494,7 +492,7 @@ def transition_semigroup(
             return itemgetter(*f)(g)
 
     zero_value = code([dfa.sink] * n) if dfa.sink is not None else None
-    semigroup = _closure(generators, compose, zero_value, cap)
+    semigroup = _closure(generators, compose, zero_value)
     return semigroup, SemigroupMorphism(dfa.alphabet, semigroup, semigroup.generators)
 
 
@@ -510,8 +508,6 @@ Relation = frozenset[tuple[str, str]]
 
 def relation_semigroup(
     generators: Mapping[str, Iterable[tuple[Hashable, Hashable]]],
-    *,
-    cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[FiniteSemigroup, SemigroupMorphism]:
     """Closure of the given binary relations under relation composition.
 
@@ -526,7 +522,7 @@ def relation_semigroup(
             outs.setdefault(x, set()).add(y)
         return frozenset((x, z) for x, y in r for z in outs.get(y, ()))
 
-    semigroup = _closure(gens, compose, frozenset(), cap)
+    semigroup = _closure(gens, compose, frozenset())
     alphabet = Alphabet(tuple(sym for sym, _ in gens))
     return semigroup, SemigroupMorphism(alphabet, semigroup, semigroup.generators)
 
@@ -536,13 +532,7 @@ def recognize(morphism: SemigroupMorphism, accept: Iterable[int], word: Word) ->
     return morphism.image(tuple(word)) in set(accept)
 
 
-def syntactic_oracle(
-    presentation: Presentation,
-    maxlen: int,
-    ctxlen: int,
-    *,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> list[list[Word]]:
+def syntactic_oracle(presentation: Presentation, maxlen: int, ctxlen: int) -> list[list[Word]]:
     """Partition words of length <= maxlen by their context behavior.
 
     Two words u, v fall together when x u y and x v y are blocks for
@@ -551,12 +541,16 @@ def syntactic_oracle(
     so only block contexts are enumerated; the partition is unchanged.
 
     This is a deliberately naive reference construction: it never touches
-    automata or semigroups, only block membership.
+    automata or semigroups, only block membership.  Raises CapExceeded
+    when there are more than ``DEFAULT_ELEMENT_CAP`` words to enumerate.
     """
     symbols = list(presentation.alphabet)
     total = sum(len(symbols) ** k for k in range(1, maxlen + 1))
-    if total > cap:
-        raise CapExceeded(f"word enumeration up to length {maxlen} is too large")
+    if total > DEFAULT_ELEMENT_CAP:
+        raise CapExceeded(
+            f"word enumeration: {total} words up to length {maxlen},"
+            f" past the cap of {DEFAULT_ELEMENT_CAP}"
+        )
     code = {a: chr(0xE000 + i) for i, a in enumerate(symbols)}
     block_words = blocks(presentation, maxlen + 2 * ctxlen)
     block_set = {"".join(code[a] for a in w) for w in block_words}

@@ -272,17 +272,17 @@ def render_presentation(presentation: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def blocks(
-    presentation: Presentation, max_len: int, *, cap: int = DEFAULT_WORD_CAP
-) -> set[Word]:
+def blocks(presentation: Presentation, max_len: int) -> set[Word]:
     """All path label words of length 1..max_len.
 
     Distinct paths with equal labels contribute one word, so the result is
     exactly the block language of the presented shift cut at ``max_len``.
-    Raises CapExceeded when the result would grow past ``cap`` words.
+    Raises CapExceeded when the result would grow past
+    ``DEFAULT_WORD_CAP`` words.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    cap = DEFAULT_WORD_CAP
     result: set[Word] = set()
     # Map each word of the current length to the vertices its paths can end at.
     level: dict[Word, frozenset[str]] = {}
@@ -437,26 +437,23 @@ def symbol_expansion(presentation: Presentation, symbol: str) -> Presentation:
     return Presentation(alphabet, tuple(vertices), tuple(edges + relay_edges))
 
 
-def higher_block(
-    presentation: Presentation,
-    order: int,
-    *,
-    cap: int = DEFAULT_VERTEX_CAP,
-) -> Presentation:
+def higher_block(presentation: Presentation, order: int) -> Presentation:
     """Recoding whose symbols are the ``order``-blocks of the shift.
 
     Vertices are the paths of ``order - 1`` edges; each path of ``order``
     edges becomes one edge, labeled by its label word joined with dots
-    (``a.b``).  Requires ``order >= 2``.
+    (``a.b``).  Requires ``order >= 2``.  Raises CapExceeded past
+    ``DEFAULT_VERTEX_CAP`` path vertices or block symbols.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
+    cap = DEFAULT_VERTEX_CAP
 
     paths: list[tuple[Edge, ...]] = [(e,) for e in presentation.edges]
     for _ in range(order - 2):
         paths = [p + (e,) for p in paths for e in presentation.out_edges[p[-1][2]]]
         if len(paths) > cap:
-            raise CapExceeded(f"more than {cap} path vertices")
+            raise CapExceeded(f"higher block recoding: more than {cap} path vertices")
     if not paths:
         raise EmptyShift("no path of the requested length")
     index = {p: f"q{i}" for i, p in enumerate(paths)}
@@ -471,7 +468,7 @@ def higher_block(
             if words.setdefault(sym, word) != word:
                 raise SymbolClash(f"blocks {words[sym]} and {word} both join to {sym!r}")
             if len(words) > cap:
-                raise CapExceeded(f"more than {cap} block symbols")
+                raise CapExceeded(f"higher block recoding: more than {cap} block symbols")
             edges.append((index[p], sym, index[q[1:]]))
 
     key = presentation.alphabet.sort_key
@@ -661,22 +658,22 @@ def _factor_totals(word: Word, max_len: int) -> tuple[int, int]:
     return count, symbols
 
 
-def substitution_blocks(
-    substitution: Substitution, max_len: int, *, cap: int = DEFAULT_WORD_CAP
-) -> set[Word]:
+def substitution_blocks(substitution: Substitution, max_len: int) -> set[Word]:
     """Words of length 1..max_len occurring in some iterated image.
 
     Requires a primitive substitution (NotPrimitive otherwise).  Iteration
     stops once the collected set sits still for one extra round and every
     image is at least twice ``max_len`` long, after which no new short
-    factor can appear.  CapExceeded when an image grows past ``cap``
-    symbols, when the collected set grows past ``cap`` words, or when the
-    factors of one image hold more than SYMBOL_CAP symbols in all.
+    factor can appear.  CapExceeded when an image grows past
+    ``DEFAULT_WORD_CAP`` symbols, when the collected set grows past
+    ``DEFAULT_WORD_CAP`` words, or when the factors of one image hold more
+    than ``SYMBOL_CAP`` symbols in all.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if not is_primitive(substitution):
         raise NotPrimitive("substitution is not primitive")
+    cap, symbol_cap = DEFAULT_WORD_CAP, SYMBOL_CAP
 
     def grow(images: dict[str, Word]) -> dict[str, Word]:
         images = {a: substitution.apply(w) for a, w in images.items()}
@@ -697,10 +694,10 @@ def substitution_blocks(
                 raise CapExceeded(
                     f"an image has more than {cap} factors up to length {max_len}"
                 )
-            if symbols > SYMBOL_CAP:
+            if symbols > symbol_cap:
                 raise CapExceeded(
                     f"the factors of an image up to length {max_len} "
-                    f"hold more than {SYMBOL_CAP} symbols"
+                    f"hold more than {symbol_cap} symbols"
                 )
 
     def factors(word: Word, sink: set[Word]) -> None:

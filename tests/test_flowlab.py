@@ -159,12 +159,10 @@ class TestRandomPresentations:
         assert sl.random_proper_presentations(0, AB) == []
 
     def test_proper_stream_refuses_inputs_with_no_proper_shift(self):
-        # one letter presents only the full shift, and so does every triple
-        # as an edge: the stream would search for a candidate forever
+        # one letter presents only the full shift: the stream would search
+        # for a candidate forever
         with pytest.raises(InputError):
             sl.random_proper_presentations(1, Alphabet(("a",)))
-        with pytest.raises(InputError):
-            sl.random_proper_presentations(1, AB, density=1.0)
 
 
 class TestBracketComparison:

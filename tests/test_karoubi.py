@@ -102,10 +102,11 @@ def test_hom_and_identity_check_objects(golden_env):
         cat.identity(-17)
 
 
-def test_envelope_cap(golden):
+def test_envelope_cap(golden, monkeypatch):
     s, _ = sl.syntactic_semigroup(golden)
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 3)
     with pytest.raises(CapExceeded):
-        sl.karoubi_envelope(s, cap=3)
+        sl.karoubi_envelope(s)
 
 
 def test_envelope_cap_stops_after_one_hom_set(golden, monkeypatch):
@@ -120,8 +121,9 @@ def test_envelope_cap_stops_after_one_hom_set(golden, monkeypatch):
 
     products = s.products
     monkeypatch.setattr(s, "products", counted)
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 1)
     with pytest.raises(CapExceeded, match="envelope grew past 1 arrows"):
-        sl.karoubi_envelope(s, cap=1)
+        sl.karoubi_envelope(s)
     assert len(batches) == 1
     assert "table" not in vars(s)
 
@@ -167,11 +169,13 @@ def test_envelope_skeleton_golden(golden):
     assert len(sk.arrows) == 5
 
 
-def test_envelope_skeleton_cap(golden):
+def test_envelope_skeleton_cap(golden, monkeypatch):
     s, _ = sl.syntactic_semigroup(golden)
-    assert len(sl.envelope_skeleton(s, cap=5).arrows) == 5
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 5)
+    assert len(sl.envelope_skeleton(s).arrows) == 5
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 4)
     with pytest.raises(CapExceeded, match="envelope skeleton grew past 4 arrows"):
-        sl.envelope_skeleton(s, cap=4)
+        sl.envelope_skeleton(s)
 
 
 def test_envelope_skeleton_cap_stops_the_scans(golden, monkeypatch):
@@ -186,8 +190,9 @@ def test_envelope_skeleton_cap_stops_the_scans(golden, monkeypatch):
 
     hom_set = karoubi._hom_set
     monkeypatch.setattr(karoubi, "_hom_set", counted)
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 1)
     with pytest.raises(CapExceeded):
-        sl.envelope_skeleton(s, cap=1)
+        sl.envelope_skeleton(s)
     assert len(built) == 1
     assert "table" not in vars(s)
 
@@ -269,7 +274,7 @@ def test_envelope_skeleton_matches_oracle_on_relation_semigroups(ra, rb, rc):
     assert direct.arrows == oracle.arrows
 
 
-def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap():
+def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap(monkeypatch):
     # |S| = 1290 with 295 idempotents: karoubi_envelope passes its default
     # cap, so the skeleton is checked against the envelope under a larger
     # cap and against direct scans of the table
@@ -286,7 +291,8 @@ def test_envelope_skeleton_where_the_whole_envelope_passes_its_cap():
     assert len(sk.arrows) == 308
     with pytest.raises(CapExceeded):
         sl.karoubi_envelope(s)
-    oracle = sl.skeleton(sl.karoubi_envelope(s, cap=400_000))
+    monkeypatch.setattr(karoubi, "DEFAULT_ARROW_CAP", 400_000)
+    oracle = sl.skeleton(sl.karoubi_envelope(s))
     assert sk.objects == oracle.objects
     assert sk.arrows == oracle.arrows
     assert_skeleton_matches_scans(s, sk)
@@ -428,7 +434,7 @@ def two_squares_and_octagon():
     return two_squares, octagon
 
 
-def test_search_fits_candidates_to_assigned_identities():
+def test_search_fits_candidates_to_assigned_identities(monkeypatch):
     # Every arrow in both has one right stabilizer, the identity at its
     # target, so only the search tells the categories apart.  It takes
     # 24 nodes when each identity goes to one whose hom-set sizes with
@@ -437,10 +443,12 @@ def test_search_fits_candidates_to_assigned_identities():
     # identities in index order, every source before any target, 208.
     two_squares, octagon = two_squares_and_octagon()
     assert not naive_categories_isomorphic(two_squares, octagon)
-    assert not sl.categories_isomorphic(two_squares, octagon, budget=24)
-    with pytest.raises(SearchTimeout):
-        sl.categories_isomorphic(two_squares, octagon, budget=23)
     assert sl.categories_isomorphic(octagon, relabeled(octagon, random.Random(0)))
+    monkeypatch.setattr(karoubi, "DEFAULT_SEARCH_BUDGET", 24)
+    assert not sl.categories_isomorphic(two_squares, octagon)
+    monkeypatch.setattr(karoubi, "DEFAULT_SEARCH_BUDGET", 23)
+    with pytest.raises(SearchTimeout):
+        sl.categories_isomorphic(two_squares, octagon)
 
 
 def cycles(count, length):
@@ -456,15 +464,17 @@ def cycles(count, length):
     return bipartite_category(edges)
 
 
-def test_search_places_identities_breadth_first():
+def test_search_places_identities_breadth_first(monkeypatch):
     # The search places each identity after one it shares a non-empty
     # hom-set with.  With the identities in index order, every source
     # before any target, the first pair took more than 500,000 nodes.
     two, one = cycles(2, 12), cycles(1, 24)
-    assert not sl.categories_isomorphic(two, one, budget=264)
-    with pytest.raises(SearchTimeout):
-        sl.categories_isomorphic(two, one, budget=263)
     assert sl.categories_isomorphic(one, relabeled(one, random.Random(0)))
+    monkeypatch.setattr(karoubi, "DEFAULT_SEARCH_BUDGET", 264)
+    assert not sl.categories_isomorphic(two, one)
+    monkeypatch.setattr(karoubi, "DEFAULT_SEARCH_BUDGET", 263)
+    with pytest.raises(SearchTimeout):
+        sl.categories_isomorphic(two, one)
 
 
 def one_object_group(mul):
@@ -617,10 +627,11 @@ def test_search_frees_its_state_without_the_cyclic_gc(even):
         gc.enable()
 
 
-def test_search_budget_raises(golden_env):
+def test_search_budget_raises(golden_env, monkeypatch):
     sk = sl.skeleton(golden_env[1])
+    monkeypatch.setattr(karoubi, "DEFAULT_SEARCH_BUDGET", 0)
     with pytest.raises(SearchTimeout):
-        sl.categories_isomorphic(sk, sk, budget=0)
+        sl.categories_isomorphic(sk, sk)
 
 
 def test_equivalence_golden_period2(golden_env, period2):

@@ -49,11 +49,13 @@ def test_bit_mask_subsets_past_one_machine_word(seed, n_vertices, density):
     assert_subsets_match_the_oracle(p)
 
 
-def test_subset_cap_names_its_limit(even):
+def test_subset_cap_names_its_limit(even, monkeypatch):
     reachable = naive_subset_dfa(even).size
-    assert sl.determinize_minimal(even, cap=reachable).size == 4
+    monkeypatch.setattr(semigroups, "DEFAULT_SUBSET_CAP", reachable)
+    assert sl.determinize_minimal(even).size == 4
+    monkeypatch.setattr(semigroups, "DEFAULT_SUBSET_CAP", reachable - 1)
     with pytest.raises(CapExceeded, match=rf"^more than {reachable - 1} reachable subsets$"):
-        sl.determinize_minimal(even, cap=reachable - 1)
+        sl.determinize_minimal(even)
 
 
 def test_even_semigroup_pinned(even):
@@ -170,12 +172,12 @@ class TestRelationSemigroups:
         assert r.witness_name(ba) != "ab"
         assert r.zero is not None  # ba composes to nothing
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(semigroups, "DEFAULT_ELEMENT_CAP", 5)
         with pytest.raises(CapExceeded):
             sl.relation_semigroup(
                 {"a": {(i, (i + 1) % 11) for i in range(11)},
                  "b": {(0, 0), (1, 0)}},
-                cap=5,
             )
 
 
@@ -199,9 +201,10 @@ class TestSyntacticOracle:
             images = {m.image(w) for w in members}
             assert len(images) == 1
 
-    def test_cap(self, even):
+    def test_cap(self, even, monkeypatch):
+        monkeypatch.setattr(semigroups, "DEFAULT_ELEMENT_CAP", 100)
         with pytest.raises(CapExceeded):
-            sl.syntactic_oracle(even, 10, 2, cap=100)
+            sl.syntactic_oracle(even, 10, 2)
 
 
 class TestGreenJ:

@@ -119,9 +119,10 @@ def test_blocks_match_path_walking_oracle(name, length):
     assert sl.blocks(p, length) == walk_blocks(p, length)
 
 
-def test_blocks_cap(even):
+def test_blocks_cap(even, monkeypatch):
+    monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 5)
     with pytest.raises(CapExceeded):
-        sl.blocks(even, 10, cap=5)
+        sl.blocks(even, 10)
 
 
 def test_even_blocks_up_to_three(even):
@@ -377,38 +378,43 @@ class TestSubstitutions:
             "a", "b", "aa", "ab", "ba", "aab", "aba", "baa", "bab",
         }
 
-    def test_blocks_cap_is_checked_before_slicing(self, fibonacci):
+    def test_blocks_cap_is_checked_before_slicing(self, fibonacci, monkeypatch):
         # The 233-symbol image alone has more than 10**4 distinct factors;
         # only the count taken before any slice gives this message.
+        monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 10**4)
         with pytest.raises(
             CapExceeded, match="an image has more than 10000 factors up to length 100000"
         ):
-            sl.substitution_blocks(fibonacci, 10**5, cap=10**4)
+            sl.substitution_blocks(fibonacci, 10**5)
 
-    def test_blocks_cap_admits_answers_under_it(self, fibonacci):
+    def test_blocks_cap_admits_answers_under_it(self, fibonacci, monkeypatch):
         # Sturmian: l + 1 blocks of each length l, 5150 in all, though the
         # images sliced on the way take far more than 10**4 slices.
-        got = sl.substitution_blocks(fibonacci, 100, cap=10**4)
+        monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 10**4)
+        got = sl.substitution_blocks(fibonacci, 100)
         assert len(got) == sum(l + 1 for l in range(1, 101))
         assert all(len(w) <= 100 for w in got)
 
     def test_blocks_symbol_cap_is_checked_before_slicing(self, fibonacci, monkeypatch):
         # The longest image reached holds all 5150 blocks up to length 100,
         # 343400 symbols in all: a symbol cap one lower refuses the answer.
+        monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 10**4)
         monkeypatch.setattr(shift, "SYMBOL_CAP", 343400)
-        got = sl.substitution_blocks(fibonacci, 100, cap=10**4)
+        got = sl.substitution_blocks(fibonacci, 100)
         assert sum(map(len, got)) == 343400
         monkeypatch.setattr(shift, "SYMBOL_CAP", 343399)
         with pytest.raises(CapExceeded, match="hold more than 343399 symbols"):
-            sl.substitution_blocks(fibonacci, 100, cap=10**4)
+            sl.substitution_blocks(fibonacci, 100)
 
-    def test_blocks_cap_bounds_the_collected_set(self):
+    def test_blocks_cap_bounds_the_collected_set(self, monkeypatch):
         # Thue-Morse has 70 blocks up to length 7; no single image reached
         # before every image is 14 long has more than 69 of them.
         thue_morse = sl.parse_substitution("a:ab,b:ba")
-        assert len(sl.substitution_blocks(thue_morse, 7, cap=70)) == 70
+        monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 70)
+        assert len(sl.substitution_blocks(thue_morse, 7)) == 70
+        monkeypatch.setattr(shift, "DEFAULT_WORD_CAP", 69)
         with pytest.raises(CapExceeded, match="more than 69 factors collected"):
-            sl.substitution_blocks(thue_morse, 7, cap=69)
+            sl.substitution_blocks(thue_morse, 7)
 
     @settings(deadline=None)
     @given(st.text("abc", max_size=40), st.integers(1, 45))
