@@ -16,7 +16,8 @@ object on one whose hom-set sizes with those placed agree, each after
 one it shares a non-empty hom-set with where there is one, then each
 arrow on a free arrow of its color in its image hom-set.  Objects need
 no map of their own: an arrow's ends are the identities it composes
-with, so assigning an arrow assigns those identities.
+with, so assigning an arrow assigns those identities.  The search keeps
+its own stack of decisions, so its depth does not use the Python stack.
 ``dump_category`` prints the composites from the same lists.  Their
 number is counted from the hom-sets before any product is read, and
 past ``DEFAULT_PAIR_CAP`` both refuse with CapExceeded.
@@ -260,47 +261,34 @@ def categories_isomorphic(c: FiniteCategory, d: FiniteCategory) -> bool:
 
     Each arrow i is colored by its number of right stabilizers, the
     arrows j with i·j = i, which any isomorphism keeps; if the two sides'
-    colors differ as multisets, the answer is False.  Otherwise one
-    backtracking search follows, see ``_search``: it places the objects
-    first, then each arrow on a free arrow of its color in its image
-    hom-set.  Its answer is exact: the search is complete and checks
-    every composite.  Raises SearchTimeout when it attempts more than
+    colors differ as multisets, the answer is False.  Otherwise a
+    backtracking search, most constrained first, assigns each arrow to a
+    free arrow of its color.  Objects follow from identities: the one
+    identity x with x·i defined is the identity at the source of i, so
+    σx is the identity at the source of σi.  An assignment forces the
+    identities at its ends and, for each assigned arrow it composes with,
+    the image of the composite, which must exist.  Identities are placed
+    first, breadth first over the non-empty hom-sets between them, each
+    on one whose hom-set sizes with those placed agree; then ``pick``
+    takes an arrow of the class (hom-set and color) with the fewest
+    unassigned arrows, read from a count per class.  The search keeps its
+    own stack of decisions, not the Python stack.  Its answer is exact;
+    it raises SearchTimeout when it attempts more than
     ``DEFAULT_SEARCH_BUDGET`` assignments.
     """
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return False
     comps = _composition(c), _composition(d)
-    colors = [
+    color_a, color_b = (
         [after[i].count(i) for i in range(len(after))] for *_, after, _ in comps
-    ]
-    if sorted(colors[0]) != sorted(colors[1]):
+    )
+    if sorted(color_a) != sorted(color_b):
         return False
-    return _search(comps, colors)
-
-
-def _search(comps: tuple, colors: list) -> bool:
-    """Backtracking search for an isomorphism, most constrained first.
-
-    Objects follow from identities: the one identity x with x·i defined
-    is the identity at the source of i, so σx is the identity at the
-    source of σi.  An assignment forces the identities at its ends, and
-    for each assigned arrow it composes with, the image of the
-    composite, which must exist.  A candidate has the arrow's color.
-    Identities are placed first, breadth first over the non-empty
-    hom-sets between them, each on an identity whose hom-set sizes with
-    those placed agree.  Then an arrow's candidates are the free arrows
-    of its color in its image hom-set: ``pick`` takes the class with the
-    fewest, read from a count per class, not from a scan of the arrows.
-    Raises SearchTimeout when more than ``DEFAULT_SEARCH_BUDGET``
-    assignments are attempted.
-    """
     budget = DEFAULT_SEARCH_BUDGET
     (src_a, dst_a, pos_a, after_a, into_a), (src_b, dst_b, pos_b, after_b, _) = comps
     n = len(src_a)
-    color_a, color_b = colors
     sigma = [-1] * n
     used = [False] * n
-    nodes = 0
     # c's classes of a hom-set and a color, and how many of each one's
     # arrows are unassigned: as many as the free arrows of its image, once
     # the objects are placed, if the pair is isomorphic
@@ -406,31 +394,32 @@ def _search(comps: tuple, colors: list) -> bool:
         image = homs_b.get((sigma[src_a[i]], sigma[dst_a[i]], color_a[i]), ())
         return i, [u for u in image if not used[u]]
 
-    def search() -> bool:
-        nonlocal nodes
-        best = pick()
-        if best is None:
-            return True
-        i, fits = best
-        for u in fits:
-            nodes += 1
-            if nodes > budget:
-                raise SearchTimeout(f"isomorphism search passed {budget} nodes")
-            trail: list[int] = []
-            if assign(i, u, trail) and search():
-                return True
-            for j in reversed(trail):
+    # one level per decision: its arrow, its untried candidates, and the
+    # trail of the candidate being tried, undone before the next one
+    levels: list[tuple[int, Iterator[int], list[int]]] = []
+    nodes = 0
+    while (best := pick()) is not None:
+        levels.append((best[0], iter(best[1]), []))
+        # try the deepest level's next candidate; retreat past spent levels
+        while levels:
+            i, fits, trail = levels[-1]
+            while trail:  # undo the candidate tried last
+                j = trail.pop()
                 used[sigma[j]] = False
                 sigma[j] = -1
                 left[hom_of[j]] += 1
-        return False
-
-    try:
-        return search()
-    finally:
-        # search calls itself through its closure: drop that reference, so
-        # the search's lists are freed now rather than by the cyclic GC
-        del search
+            u = next(fits, None)
+            if u is None:
+                levels.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchTimeout(f"isomorphism search passed {budget} nodes")
+            if assign(i, u, trail):
+                break
+        if not levels:
+            return False
+    return True
 
 
 def categories_equivalent(c: FiniteCategory, d: FiniteCategory) -> bool:

@@ -41,10 +41,6 @@ PRESENTATIONS = {
     "period2": period_2_shift,
 }
 
-SUBSTITUTIONS = {
-    "fibonacci": fibonacci_substitution,
-}
-
 # Loop names for the one-vertex bracket graphs D1, D2, ...
 _LOOP_NAMES = "efghijklmnopqrstuvwxyz"
 

@@ -376,27 +376,15 @@ class FiniteSemigroup:
 
 @dataclass(frozen=True)
 class SemigroupMorphism:
-    """Morphism from nonempty words over ``alphabet`` onto a finite semigroup.
-
-    ``images`` maps each letter to a generator element of ``semigroup``.
-    """
+    """Morphism from nonempty words over ``alphabet`` onto a finite semigroup,
+    sending each letter to its generator element of ``semigroup``."""
 
     alphabet: Alphabet
     semigroup: FiniteSemigroup
-    images: Mapping[str, int]
 
     def image(self, word: Word) -> int:
-        """Image of ``word``, stepped through the right Cayley graph."""
-        if len(word) == 0:
-            raise ValueError("morphism is defined on nonempty words")
-        right = self.semigroup.right
-        try:
-            x = self.images[word[0]]
-            for a in word[1:]:
-                x = right[self.images[a]][x]
-        except KeyError as exc:
-            raise AlphabetMismatch(f"symbol {exc.args[0]!r} not in alphabet") from None
-        return x
+        """Image of ``word``: its value in ``semigroup``."""
+        return self.semigroup.evaluate(word)
 
 
 def _closure(
@@ -493,7 +481,7 @@ def transition_semigroup(dfa: Dfa) -> tuple[FiniteSemigroup, SemigroupMorphism]:
 
     zero_value = code([dfa.sink] * n) if dfa.sink is not None else None
     semigroup = _closure(generators, compose, zero_value)
-    return semigroup, SemigroupMorphism(dfa.alphabet, semigroup, semigroup.generators)
+    return semigroup, SemigroupMorphism(dfa.alphabet, semigroup)
 
 
 def syntactic_semigroup(
@@ -524,7 +512,7 @@ def relation_semigroup(
 
     semigroup = _closure(gens, compose, frozenset())
     alphabet = Alphabet(tuple(sym for sym, _ in gens))
-    return semigroup, SemigroupMorphism(alphabet, semigroup, semigroup.generators)
+    return semigroup, SemigroupMorphism(alphabet, semigroup)
 
 
 def recognize(morphism: SemigroupMorphism, accept: Iterable[int], word: Word) -> bool:

@@ -457,3 +457,12 @@ def test_cli_fuzz_exits_cleanly_and_repeats_its_output(tmp_path_factory, data):
         assert code in (0, 1, 2, 3), (argv, code, err)
         assert code == 0 or err != ""
         assert run(*argv)[1] == out
+
+
+def test_readme_lists_the_builtin_presentations():
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"where NAME is one of ([^.]*)\.", readme).group(1)
+    assert re.findall(r"`(\w+)`", listed) == sorted(presets.PRESENTATIONS)

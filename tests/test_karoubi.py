@@ -1,6 +1,8 @@
 import gc
+import inspect
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -625,6 +627,21 @@ def test_search_frees_its_state_without_the_cyclic_gc(even):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_search_depth_does_not_use_the_python_stack():
+    # the chain semilattice of 8 elements: 8 objects, 204 arrows.  A search
+    # that recursed once per decision needed 70 frames above its caller on it
+    s, _ = sl.relation_semigroup({f"a{i}": [(x, x) for x in range(i + 1)] for i in range(8)})
+    sk = sl.envelope_skeleton(s)
+    assert (len(sk.objects), len(sk.arrows)) == (8, 204)
+    copy = relabeled(sk, random.Random(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        assert sl.categories_isomorphic(sk, copy)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_search_budget_raises(golden_env, monkeypatch):
